@@ -6,7 +6,7 @@ queries (optionally emitted as Cypher), evaluate it over an in-memory
 property graph, and verify against a bounded-chase oracle.
 """
 
-from .chase import ChasedGraph, certain_answers, chase
+from .chase import certain_answers, chase
 from .cypher import CypherQuery, emit_cypher
 from .depgraph import (
     DependencyGraph,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "C2RPQ",
-    "ChasedGraph",
     "CypherQuery",
     "DependencyGraph",
     "FragmentViolation",

@@ -24,23 +24,6 @@ from .tbox import (
 ANON_PREFIX = "_:"
 
 
-class ChasedGraph(PropertyGraph):
-    """A property graph extended with anonymous witness nodes."""
-
-    def __init__(self, base: PropertyGraph, depth: int):
-        super().__init__()
-        self.labels = {n: set(ls) for n, ls in base.labels.items()}
-        self.node_props = {n: dict(ps) for n, ps in base.node_props.items()}
-        self.edges = set(base.edges)
-        self.edge_props = {pair: dict(ps) for pair, ps in base.edge_props.items()}
-        self._pairs_by_label = {l: set(ps) for l, ps in base._pairs_by_label.items()}
-        self.base_nodes = frozenset(base.nodes)
-        self.depth = depth
-
-    def is_anonymous(self, node_id) -> bool:
-        return node_id not in self.base_nodes
-
-
 def _matching_successors(g, node, role: Role):
     if role.inverted:
         return [u for (u, v) in g.pairs(role.name) if v == node]
@@ -55,10 +38,11 @@ def _add_role_edge(g, src, role: Role, dst) -> bool:
     return True
 
 
-def chase(g: PropertyGraph, t: TBox, depth: int) -> ChasedGraph:
-    """Least fixpoint of the normal-form rules over g, to witness depth `depth`."""
+def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
+    """Least fixpoint of the normal-form rules over a copy of g, to witness
+    depth `depth`; nodes not in g are anonymous witnesses."""
     t = normalize(t)
-    out = ChasedGraph(g, depth)
+    out = g.copy()
     generation = {n: 0 for n in out.nodes}
 
     def ensure_label(node, name) -> bool:
@@ -125,5 +109,5 @@ def certain_answers(q, g: PropertyGraph, t: TBox, depth: int) -> set:
     return {
         answer
         for answer in eval_query(q, chased)
-        if all(node in chased.base_nodes for node in answer)
+        if all(node in g.nodes for node in answer)
     }

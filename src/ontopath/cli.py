@@ -32,10 +32,7 @@ EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
 
 _ENV_PREFIX = "ONTOPATH_"
-_CONFIG_KEYS = (
-    "max_queries", "max_clip_attempts", "witness_cap", "depth",
-    "store_url", "store_db", "store_user", "store_password",
-)
+_CONFIG_KEYS = ("max_queries", "max_clip_attempts", "witness_cap", "depth")
 
 
 class UsageError(OntopathError):
@@ -53,10 +50,6 @@ class Config:
     max_clip_attempts: int = 100_000
     witness_cap: int = 1024
     depth: int = 3
-    store_url: str = ""
-    store_db: str = "neo4j"
-    store_user: str = ""
-    store_password: str = ""
 
     def budget(self) -> RewriteBudget:
         return RewriteBudget(self.max_queries, self.max_clip_attempts,
@@ -101,14 +94,12 @@ def load_config(args) -> Config:
         for key, value in layer.items():
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"unknown configuration key {key!r}")
-            current = getattr(config, key)
-            if isinstance(current, int):
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise UsageError(f"configuration key {key!r} needs an integer")
-                if value < 0 or (key != "depth" and value == 0):
-                    raise UsageError(f"configuration key {key!r} must be positive")
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"configuration key {key!r} needs an integer")
+            if value < 0 or (key != "depth" and value == 0):
+                raise UsageError(f"configuration key {key!r} must be positive")
             setattr(config, key, value)
     return config
 

@@ -7,7 +7,7 @@ hyperedge A -> {B1..Bk} records B1 & ... & Bk <= A.
 Three queries are answered here:
 
 * ``witness``: which label sets jointly entail a concept (backward chaining
-  over conjunction and subsumption edges);
+  over the conjunction hyperedges of the concept and of its subsumees);
 * ``rewr_concept``: a regular path expression matching exactly the
   data-level derivations of a concept, obtained by reading the graph as a
   finite automaton and eliminating states;
@@ -18,14 +18,13 @@ witnesses, the graph also runs a consequence-driven label completion: for
 every concept name a set of certain subsumers, and for every existential
 axiom the labels certainly carried by its witness (including effects of the
 edge back to the witness's parent).  Derived subsumptions feed extra
-epsilon transitions into the automaton and extra alternatives into witness
-expansion; everything remains sound because each completion rule is valid
-in every model.
+epsilon transitions into the automaton, so one concept path covers every
+entailed subsumee; everything remains sound because each completion rule
+is valid in every model.
 """
 from __future__ import annotations
 
-import warnings
-
+from .errors import BudgetExceededError
 from .query import (
     ANY_NODE,
     EdgeStep,
@@ -393,48 +392,51 @@ def build_dependency_graph(t: TBox) -> DependencyGraph:
 
 
 def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
-    """All minimal label sets that jointly entail `name`.
+    """All label sets that jointly entail `name` through conjunction axioms.
 
-    Expansion replaces a set element either by a single entailed-subsumee
-    alternative or by the left-hand side of a conjunction axiom; the result
-    is pruned to an antichain.  Always contains {name}.
+    Expansion replaces a set element by the left-hand side of a conjunction
+    axiom whose right-hand side entails that element.  Entailed subsumees
+    get no sets of their own: the concept path of each member already
+    matches them through its epsilon transitions.  A set other than {name}
+    is dropped when its members entail every member of another set, since
+    its branch is then contained in the other's (of two sets that entail
+    each other, the smaller is kept).  The result always contains {name}.
+    Raises BudgetExceededError past `cap` sets.
     """
-    alternatives = {}
-    for member in g.nodes:
-        if member == TOP:
-            # The universal concept needs no witnessing.
-            alternatives[member] = ((), ())
-            continue
-        alts = [y for y in g.nodes if member in g.subsumers(y) and y != member]
-        conjs = [parts for rhs, parts in g.conj_edges if rhs == member]
-        alternatives[member] = (sorted(alts), sorted(conjs, key=sorted))
+    conjs = {}
+    for rhs, parts in sorted(g.conj_edges, key=lambda e: (e[0], sorted(e[1]))):
+        for sup in sorted(g.subsumers(rhs) - {TOP}):  # TOP needs no witnessing
+            conjs.setdefault(sup, []).append(parts)
 
     start = frozenset({name})
     visited = {start}
     queue = [start]
-    truncated = False
     while queue:
         current = queue.pop(0)
         for member in sorted(current):
-            alts, conjs = alternatives.get(member, ((), ()))
-            candidates = [current - {member} | {alt} for alt in alts]
-            candidates += [current - {member} | parts for parts in conjs]
-            for candidate in candidates:
+            for parts in conjs.get(member, ()):
+                candidate = current - {member} | parts
                 if candidate not in visited:
                     if len(visited) >= cap:
-                        truncated = True
-                        break
+                        raise BudgetExceededError(
+                            f"witness expansion for {name!r} exceeds {cap} sets")
                     visited.add(candidate)
                     queue.append(candidate)
-    if truncated:
-        warnings.warn(
-            f"witness expansion for {name!r} truncated at {cap} sets; "
-            "the rewriting may be incomplete", RuntimeWarning)
+
+    def covers(s, other):
+        return all(any(g.entails_subsumption(m, o) for m in s) for o in other)
+
+    def key(s):
+        return (len(s), sorted(s))
+
     minimal = [
         s for s in visited
-        if not any(other < s for other in visited)
+        if s == start or not any(
+            other != s and covers(s, other)
+            and not (covers(other, s) and key(s) < key(other))
+            for other in visited)
     ]
-    return tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted(minimal, key=key))
 
 
 def rewr_concept(name: str, g: DependencyGraph) -> PathExpr:
@@ -442,11 +444,9 @@ def rewr_concept(name: str, g: DependencyGraph) -> PathExpr:
     return g.concept_path(name)
 
 
-def rewrite_role(role: Role, t: TBox) -> PathExpr:
+def rewrite_role(role: Role, g: DependencyGraph) -> PathExpr:
     """Union over the entailed subroles of `role` (always including itself)."""
-    t = normalize(t)
-    order = RoleOrder(t.normalized)
-    return union_path([EdgeStep(sub) for sub in sorted(order.subroles(role), key=str)])
+    return union_path([EdgeStep(sub) for sub in sorted(g.roles.subroles(role), key=str)])
 
 
 def dump_dependency_graph(g: DependencyGraph) -> str:

@@ -33,6 +33,8 @@ from .query import (
 )
 from .tbox import TOP
 
+_NO_PROPS = {}  # shared read-only stand-in for an edge without properties
+
 
 class PropertyGraph:
     """Nodes and labeled directed edges, both carrying key-value properties.
@@ -87,9 +89,6 @@ class PropertyGraph:
 
     def node_prop(self, node_id, key):
         return self.node_props.get(node_id, {}).get(key)
-
-    def edge_prop(self, pair, key):
-        return self.edge_props.get(pair, {}).get(key)
 
     def copy(self) -> "PropertyGraph":
         out = PropertyGraph()
@@ -217,27 +216,16 @@ def compare_values(op, stored, literal) -> bool:
             ">": stored > literal, ">=": stored >= literal}[op]
 
 
-def test_holds_node(test, node, g: PropertyGraph) -> bool:
+def test_holds(test, props) -> bool:
+    """Whether a data test holds on one node's or one edge's properties."""
     if isinstance(test, DataTest):
-        return compare_values(test.op, g.node_prop(node, test.key), test.value)
+        return compare_values(test.op, props.get(test.key), test.value)
     if isinstance(test, TestAnd):
-        return test_holds_node(test.left, node, g) and test_holds_node(test.right, node, g)
+        return test_holds(test.left, props) and test_holds(test.right, props)
     if isinstance(test, TestOr):
-        return test_holds_node(test.left, node, g) or test_holds_node(test.right, node, g)
+        return test_holds(test.left, props) or test_holds(test.right, props)
     if isinstance(test, TestNot):
-        return not test_holds_node(test.inner, node, g)
-    raise TypeError(f"not a test expression: {test!r}")
-
-
-def test_holds_pair(test, pair, g: PropertyGraph) -> bool:
-    if isinstance(test, DataTest):
-        return compare_values(test.op, g.edge_prop(pair, test.key), test.value)
-    if isinstance(test, TestAnd):
-        return test_holds_pair(test.left, pair, g) and test_holds_pair(test.right, pair, g)
-    if isinstance(test, TestOr):
-        return test_holds_pair(test.left, pair, g) or test_holds_pair(test.right, pair, g)
-    if isinstance(test, TestNot):
-        return not test_holds_pair(test.inner, pair, g)
+        return not test_holds(test.inner, props)
     raise TypeError(f"not a test expression: {test!r}")
 
 
@@ -262,9 +250,11 @@ def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
         if path.on_edge:
             result = frozenset(
                 (u, v) for u in g.nodes for v in g.nodes
-                if test_holds_pair(path.test, (v, u) if path.flipped else (u, v), g))
+                if test_holds(path.test, g.edge_props.get(
+                    (v, u) if path.flipped else (u, v), _NO_PROPS)))
         else:
-            result = frozenset((n, n) for n in g.nodes if test_holds_node(path.test, n, g))
+            result = frozenset(
+                (n, n) for n in g.nodes if test_holds(path.test, g.node_props[n]))
     elif isinstance(path, Concat):
         result = frozenset((u, u) for u in g.nodes)
         for part in path.parts:
@@ -325,14 +315,14 @@ def _atom_rows(atom, g: PropertyGraph):
     if isinstance(atom, TestAtom):
         if len(atom.vars) == 1:
             return [{atom.vars[0]: n} for n in sorted(g.nodes)
-                    if test_holds_node(atom.test, n, g)]
+                    if test_holds(atom.test, g.node_props[n])]
         x, y = atom.vars
         if x == y:
             return [{x: u} for u in sorted(g.nodes)
-                    if test_holds_pair(atom.test, (u, u), g)]
+                    if test_holds(atom.test, g.edge_props.get((u, u), _NO_PROPS))]
         return [{x: u, y: v}
                 for u in sorted(g.nodes) for v in sorted(g.nodes)
-                if test_holds_pair(atom.test, (u, v), g)]
+                if test_holds(atom.test, g.edge_props.get((u, v), _NO_PROPS))]
     raise TypeError(f"not an atom: {atom!r}")
 
 

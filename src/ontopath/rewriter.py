@@ -10,15 +10,16 @@ The pipeline has three phases:
    fresh existential endpoints; applied to closure so combinations of
    replaced atoms are covered.
 3. Role rewriting: every role occurrence is widened to the union of its
-   entailed subroles, one role at a time plus all roles at once.
+   entailed subroles, giving one query per concept rewriting.  Widening
+   only enlarges each relation, so the widened query contains the query it
+   came from and every partially widened variant.
 
-Every produced query is inserted through the structural-containment filter
-so the result stays an antichain.
+Every produced query is inserted through the structural-containment filter,
+which drops queries structurally contained in one already kept.
 """
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from .depgraph import (
@@ -158,13 +159,11 @@ def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
     for options in hypothesis_options:
         combo_count *= len(options)
     if combo_count > max_hypotheses:
-        warnings.warn(
-            f"clipping explored only {max_hypotheses} of {combo_count} "
-            "hypothesis combinations; the rewriting may be incomplete",
-            RuntimeWarning)
+        raise BudgetExceededError(
+            f"clipping needs {combo_count} hypothesis combinations, "
+            f"more than {max_hypotheses}")
     results = []
-    for combo in itertools.islice(
-            itertools.product(*hypothesis_options), max_hypotheses):
+    for combo in itertools.product(*hypothesis_options):
         atoms = set(kept)
         atoms.add(ConceptAtom(frozenset({ax.lhs}), z))
         for extra in combo:
@@ -255,27 +254,17 @@ def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> l
     return stage
 
 
-def _role_rewritings(queries, t: TBox) -> list:
-    out = []
-    for q1 in queries:
-        names = sorted({
-            name
-            for atom in q1.atoms if isinstance(atom, RoleAtom)
-            for name in path_roles(atom.path)
-        })
-        substitutions = {}
-        for name in names:
-            replacement = rewrite_role(Role(name), t)
-            if replacement != EdgeStep(Role(name)):
-                substitutions[name] = replacement
-        for name in sorted(substitutions):
-            out.append(substitute_role(q1, Role(name), substitutions[name]))
-        if len(substitutions) > 1:
-            combined = q1
-            for name in sorted(substitutions):
-                combined = substitute_role(combined, Role(name), substitutions[name])
-            out.append(combined)
-    return out
+def _widen_roles(q1: C2RPQ, g: DependencyGraph) -> C2RPQ:
+    names = sorted({
+        name
+        for atom in q1.atoms if isinstance(atom, RoleAtom)
+        for name in path_roles(atom.path)
+    })
+    for name in names:
+        replacement = rewrite_role(Role(name), g)
+        if replacement != EdgeStep(Role(name)):
+            q1 = substitute_role(q1, Role(name), replacement)
+    return q1
 
 
 def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
@@ -293,10 +282,10 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
 
     saturated = _saturate_clipping(q0, g, budget)
     staged = _concept_rewritings(saturated, g, budget)
-    role_variants = _role_rewritings(staged, t)
 
     result = RewritingSet(q0.answer_vars)
-    for q1 in itertools.chain(staged, role_variants):
+    for q1 in staged:
+        q1 = _widen_roles(q1, g)
         result = result.add(q1) if prune else result.append(q1)
         if len(result) > budget.max_queries:
             raise BudgetExceededError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ontopath.graph import PropertyGraph, test_holds_node, test_holds_pair
+from ontopath.graph import PropertyGraph, test_holds
 from ontopath.query import (
     ANY_NODE,
     Concat,
@@ -83,9 +83,9 @@ def walk_pairs(path, g: PropertyGraph, unroll=None) -> set:
         elif isinstance(p, PropTest):
             if p.on_edge:
                 pair = (v, u) if p.flipped else (u, v)
-                out = test_holds_pair(p.test, pair, g)
+                out = test_holds(p.test, g.edge_props.get(pair, {}))
             else:
-                out = u == v and test_holds_node(p.test, u, g)
+                out = u == v and test_holds(p.test, g.node_props[u])
         elif isinstance(p, Concat):
             head, rest = p.parts[0], p.parts[1:]
             tail = rest[0] if len(rest) == 1 else Concat(rest)

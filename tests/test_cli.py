@@ -81,6 +81,18 @@ def test_budget_exits_4(capsys, teacher_files):
     assert "budget" in err
 
 
+def test_witness_cap_exits_4(capsys, tmp_path):
+    tbox = tmp_path / "conj.dl"
+    tbox.write_text("".join(f"B{i} & C{i} <= A\n" for i in range(12)))
+    query = tmp_path / "a.ncq"
+    query.write_text("q(x) :- A(x)\n")
+    code, out, err = run(capsys, ["rewrite", "-t", str(tbox), "-q", str(query),
+                                  "--witness-cap", "4"])
+    assert code == 4
+    assert out == ""
+    assert "budget" in err
+
+
 def test_missing_flag_exits_1(capsys, teacher_files):
     tbox, _, _ = teacher_files
     code, _out, err = run(capsys, ["rewrite", "-t", str(tbox)])

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import make_graph, random_graph
 
 from ontopath.chase import chase
@@ -10,9 +12,10 @@ from ontopath.depgraph import (
     rewrite_role,
     witness,
 )
+from ontopath.errors import BudgetExceededError
 from ontopath.graph import eval_query, path_pairs
 from ontopath.query import C2RPQ, EdgeStep, NodeTest, RoleAtom, parse_query, path_to_str
-from ontopath.tbox import Role, normalize, parse_tbox
+from ontopath.tbox import Role, parse_tbox
 from oracles import unroll_stars
 
 
@@ -65,33 +68,59 @@ def test_witness_conjunction():
 
 
 def test_witness_chains_through_subsumption():
-    g = dep("B <= A\nC & D <= B")
+    """Witness sets expand conjunctions, through nested ones and through the
+    conjunctions of entailed subsumees; a subsumee gets no set of its own,
+    because the concept path already matches it."""
+    g = dep("B <= A\nC & D <= B\nB & E <= F")
     sets = witness("A", g)
-    for expected in ({"A"}, {"B"}, {"C", "D"}):
-        assert frozenset(expected) in sets
+    assert sets == (frozenset({"A"}), frozenset({"C", "D"}))
     for s in sets:
         graph = make_graph({"a": sorted(s)})
         assert chase(graph, g.tbox, depth=1).has_label("a", "A")
+    sets = witness("F", g)
+    assert sets == (frozenset({"F"}), frozenset({"B", "E"}),
+                    frozenset({"C", "D", "E"}))
+    for s in sets:
+        graph = make_graph({"a": sorted(s)})
+        assert chase(graph, g.tbox, depth=1).has_label("a", "F")
+    graph = make_graph({"a": ["B"]})
+    assert ("a", "a") in path_pairs(rewr_concept("A", g), graph)
 
 
 def test_witness_is_antichain():
+    """No set's members entail every member of another set: its branch
+    would be contained in the other's."""
+    g = dep("B & C <= A")
+    assert witness("A", g) == (frozenset({"A"}), frozenset({"B", "C"}))
+    # B alone entails A, so {B, C} adds nothing to {A}.
     g = dep("B & C <= A\nB <= A")
+    assert witness("A", g) == (frozenset({"A"}),)
+    g = dep("B & C <= A\nD & E <= A\nD <= B\nE <= C\nF & G <= D")
     sets = witness("A", g)
-    assert frozenset({"B"}) in sets
-    assert frozenset({"B", "C"}) not in sets
+    # {D, E} is dropped for {B, C} and {E, F, G} for {C, F, G}; {C, F, G}
+    # stays, because F and G entail B only together, not each on its own.
+    assert sets == (frozenset({"A"}), frozenset({"B", "C"}),
+                    frozenset({"C", "F", "G"}))
     for s in sets:
-        assert not any(other < s for other in sets)
+        for other in sets:
+            if other != s:
+                assert not all(any(g.entails_subsumption(m, o) for m in s)
+                               for o in other)
 
 
-def test_witness_cap_warns():
-    import warnings
+def test_witness_keeps_start_set():
+    """{A} entails both B and C, so its branch is contained in that of
+    {B, C}; it is kept all the same, so that A(x) stays one path atom."""
+    g = dep("A <= B\nA <= C\nB & C <= A")
+    assert witness("A", g) == (frozenset({"A"}), frozenset({"B", "C"}))
 
-    lines = [f"M{i} <= A" for i in range(10)] + [f"N{i} & P{i} <= M{i}" for i in range(10)]
+
+def test_witness_cap_raises():
+    lines = [f"B{i} & C{i} <= A" for i in range(12)]
     g = dep("\n".join(lines))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        witness("A", g, cap=5)
-    assert any("truncated" in str(w.message) for w in caught)
+    assert len(witness("A", g, cap=13)) == 13
+    with pytest.raises(BudgetExceededError):
+        witness("A", g, cap=4)
 
 
 # -- rewr_concept ----------------------------------------------------------------
@@ -208,33 +237,33 @@ def test_rewr_concept_conjunction_at_depth_linearized():
 
 
 def test_rewrite_role_reflexive():
-    t = parse_tbox("")
-    assert rewrite_role(Role("r"), t) == EdgeStep(Role("r"))
+    g = dep("")
+    assert rewrite_role(Role("r"), g) == EdgeStep(Role("r"))
 
 
 def test_rewrite_role_hierarchy():
-    t = parse_tbox("mentors <= teaches")
-    path = rewrite_role(Role("teaches"), t)
+    g = dep("mentors <= teaches")
+    path = rewrite_role(Role("teaches"), g)
     assert path == parse_branches("mentors|teaches")
     # Chase check: a mentors edge entails a teaches edge.
     chased = chase(make_graph({"a": [], "b": []}, [("a", "mentors", "b")]),
-                   normalize(t), depth=0)
+                   g.tbox, depth=0)
     assert ("a", "teaches", "b") in chased.edges
 
 
 def test_rewrite_role_inverse_closure():
-    t = parse_tbox("inv(employs) <= worksFor")
-    assert rewrite_role(Role("worksFor"), t) == parse_branches("inv(employs)|worksFor")
-    assert rewrite_role(Role("worksFor", inverted=True), t) == parse_branches(
+    g = dep("inv(employs) <= worksFor")
+    assert rewrite_role(Role("worksFor"), g) == parse_branches("inv(employs)|worksFor")
+    assert rewrite_role(Role("worksFor", inverted=True), g) == parse_branches(
         "employs|inv(worksFor)")
     chased = chase(make_graph({"a": [], "b": []}, [("a", "employs", "b")]),
-                   normalize(t), depth=0)
+                   g.tbox, depth=0)
     assert ("b", "worksFor", "a") in chased.edges
 
 
 def test_rewrite_role_transitive():
-    t = parse_tbox("a2 <= a1\na1 <= a0")
-    path = rewrite_role(Role("a0"), t)
+    g = dep("a2 <= a1\na1 <= a0")
+    path = rewrite_role(Role("a0"), g)
     assert path == parse_branches("a0|a1|a2")
 
 

@@ -124,6 +124,15 @@ def test_clipping_with_parent_label_hypothesis():
     assert {query_to_str(c) for c in results} == {"q(x) :- A(x), D(x)"}
 
 
+def test_clipping_hypothesis_budget_raises():
+    g, (idx,) = clip_graph(
+        "A <= exists p . B\nexists inv(p) . D <= C\nexists inv(p) . E <= C")
+    q = parse_query("q(x) :- p(x,y), C(y)")
+    assert len(clipping(q, idx, {"y"}, g, max_hypotheses=2)) == 2
+    with pytest.raises(BudgetExceededError):
+        clipping(q, idx, {"y"}, g, max_hypotheses=1)
+
+
 # -- rewrite_ncq -----------------------------------------------------------------
 
 
@@ -148,6 +157,20 @@ def test_role_hierarchy_branch():
     assert "q(x,y) :- (mentors|teaches)(x,y)" in branches(out)
 
 
+def test_role_widening_yields_one_branch_per_query():
+    """Widening every role at once contains the original query and every
+    partially widened variant, so only the widened query is emitted."""
+    q = parse_query("q(x,z) :- teaches(x,y), attends(y,z)")
+    t = parse_tbox("mentors <= teaches\naudits <= attends")
+    out = rewrite_ncq(q, t, prune=False)
+    assert branches(out) == {
+        "q(x,z) :- (attends|audits)(y,z), (mentors|teaches)(x,y)"}
+    graph = make_graph({"a": [], "b": [], "c": []},
+                       [("a", "mentors", "b"), ("b", "attends", "c")])
+    assert certain_answers(q, graph, t, depth=1) == {("a", "c")}
+    assert eval_query(out.to_uc2rpq(), graph) == {("a", "c")}
+
+
 def test_iterated_clipping_through_two_levels():
     q = parse_query("q(x) :- r(x,y), s(y,z), D(z)")
     t = parse_tbox("A <= exists r . B\nB <= exists s . D")
@@ -165,6 +188,20 @@ def test_combined_concept_and_role_rewriting():
     graph = make_graph({"a": [], "b": ["GradStudent"]}, [("a", "mentors", "b")])
     assert certain_answers(q, graph, t, depth=1) == {("a",)}
     assert eval_query(out.to_uc2rpq(), graph) == {("a",)}
+
+
+def test_conjunction_of_role_derived_concepts():
+    """The conjuncts of C are derived through different neighbours, which
+    no single concept path can follow; the witness set {D, E} covers it,
+    also for A, which C entails."""
+    t = parse_tbox("exists r . X <= D\nexists s . Y <= E\nD & E <= C\nC <= A")
+    graph = make_graph({"a": [], "b": ["X"], "c": ["Y"]},
+                       [("a", "r", "b"), ("a", "s", "c")])
+    for name in ("C", "A"):
+        q = parse_query(f"q(x) :- {name}(x)")
+        expected = certain_answers(q, graph, t, depth=3)
+        assert expected == {("a",)}
+        assert eval_query(rewrite_ncq(q, t).to_uc2rpq(), graph) == expected
 
 
 def test_rewrite_atomic_subsumption():
