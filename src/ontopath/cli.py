@@ -46,9 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class Config:
-    max_queries: int = 10_000
-    max_clip_attempts: int = 100_000
-    witness_cap: int = 1024
+    max_queries: int = RewriteBudget.max_queries
+    max_clip_attempts: int = RewriteBudget.max_clip_attempts
+    witness_cap: int = RewriteBudget.witness_cap
     depth: int = 3
 
     def budget(self) -> RewriteBudget:

@@ -3,8 +3,9 @@
 Evaluation follows set semantics over mappings: a path expression denotes a
 binary relation over nodes, node tests denote self-pairs, the Kleene star is
 computed as a reachability fixpoint (identity pairs plus transitive closure
-of the inner relation), and query answers are projections of the natural
-join of the atom relations.
+of the inner relation).  Query answers are projections of the natural join
+of the concept and role atom relations; data tests come last and keep the
+rows whose bound node, or bound endpoint pair, satisfies them.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .query import (
     UC2RPQ,
     UnionPath,
     atom_sort_key,
+    atom_vars,
 )
 from .tbox import TOP
 
@@ -256,8 +258,8 @@ def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
             result = frozenset(
                 (n, n) for n in g.nodes if test_holds(path.test, g.node_props[n]))
     elif isinstance(path, Concat):
-        result = frozenset((u, u) for u in g.nodes)
-        for part in path.parts:
+        result = path_pairs(path.parts[0], g, _cache)
+        for part in path.parts[1:]:
             step = path_pairs(part, g, _cache)
             by_src = {}
             for u, v in step:
@@ -302,48 +304,38 @@ def eval_path(path, x: str, y: str, g: PropertyGraph) -> set:
 
 def _atom_rows(atom, g: PropertyGraph):
     if isinstance(atom, ConceptAtom):
-        return [
-            {atom.var: n}
-            for n in sorted(g.nodes)
-            if any(g.has_label(n, l) for l in atom.labels)
-        ]
+        return [{atom.var: n} for n in g.nodes
+                if any(g.has_label(n, l) for l in atom.labels)]
     if isinstance(atom, RoleAtom):
-        pairs = sorted(path_pairs(atom.path, g))
+        pairs = path_pairs(atom.path, g)
         if atom.src == atom.dst:
             return [{atom.src: u} for u, v in pairs if u == v]
         return [{atom.src: u, atom.dst: v} for u, v in pairs]
-    if isinstance(atom, TestAtom):
-        if len(atom.vars) == 1:
-            return [{atom.vars[0]: n} for n in sorted(g.nodes)
-                    if test_holds(atom.test, g.node_props[n])]
-        x, y = atom.vars
-        if x == y:
-            return [{x: u} for u in sorted(g.nodes)
-                    if test_holds(atom.test, g.edge_props.get((u, u), _NO_PROPS))]
-        return [{x: u, y: v}
-                for u in sorted(g.nodes) for v in sorted(g.nodes)
-                if test_holds(atom.test, g.edge_props.get((u, v), _NO_PROPS))]
     raise TypeError(f"not an atom: {atom!r}")
+
+
+def _test_props(atom: TestAtom, row, g: PropertyGraph):
+    ends = tuple(row[v] for v in atom.vars)  # one node, or an endpoint pair
+    return g.node_props[ends[0]] if len(ends) == 1 else g.edge_props.get(ends, _NO_PROPS)
 
 
 def _join(rows, extra):
     out = []
     for row in rows:
         for add in extra:
-            merged = dict(row)
-            ok = True
             for k, v in add.items():
-                if merged.get(k, v) != v:
-                    ok = False
+                if row.get(k, v) != v:
                     break
-                merged[k] = v
-            if ok:
-                out.append(merged)
+            else:
+                out.append({**row, **add})
     return out
 
 
 def eval_query(q, g: PropertyGraph) -> set:
-    """Answer tuples of a C2RPQ or UC2RPQ over g."""
+    """Answer tuples of a C2RPQ or UC2RPQ over g.
+
+    Raises ValueError when a data-test variable occurs in no other atom.
+    """
     if isinstance(q, UC2RPQ):
         out = set()
         for branch in q.branches:
@@ -351,9 +343,18 @@ def eval_query(q, g: PropertyGraph) -> set:
         return out
     if not isinstance(q, C2RPQ):
         raise TypeError(f"not a query: {q!r}")
+    atoms = sorted(q.atoms, key=atom_sort_key)  # data tests sort last
+    test_vars = {v for atom in atoms if isinstance(atom, TestAtom) for v in atom.vars}
+    unbound = test_vars.difference(*(atom_vars(a) for a in atoms if not isinstance(a, TestAtom)))
+    if unbound:
+        raise ValueError(f"variables occur only in data tests: {', '.join(sorted(unbound))}")
     rows = [{}]
-    for atom in sorted(q.atoms, key=atom_sort_key):
-        rows = _join(rows, _atom_rows(atom, g))
+    for atom in atoms:
+        if isinstance(atom, TestAtom):
+            rows = [row for row in rows
+                    if test_holds(atom.test, _test_props(atom, row, g))]
+        else:
+            rows = _join(rows, _atom_rows(atom, g))
         if not rows:
             return set()
     return {tuple(row[v] for v in q.answer_vars) for row in rows}

@@ -96,7 +96,7 @@ def _fresh_vars(taken, prefix):
 
 
 def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
-             max_hypotheses: int = 64) -> tuple:
+             max_hypotheses: int = RewriteBudget.max_hypotheses_per_clip) -> tuple:
     """Clip the variables `y_vars` of q against one existential axiom.
 
     Returns the clipped queries (usually zero or one).  All variables that
@@ -287,9 +287,6 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     for q1 in staged:
         q1 = _widen_roles(q1, g)
         result = result.add(q1) if prune else result.append(q1)
-        if len(result) > budget.max_queries:
-            raise BudgetExceededError(
-                f"more than {budget.max_queries} queries generated")
     return result
 
 

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the production code paths they check: path
-evaluation is done by unrolling stars and matching walks pointwise, and
-entailment is done by a structural chase that applies raw (unnormalized)
-axioms directly.
+evaluation is done by unrolling stars and matching walks pointwise, query
+answers by enumerating every assignment of the variables, and entailment
+by a structural chase that applies raw (unnormalized) axioms directly.
 """
 from __future__ import annotations
 
@@ -14,9 +14,11 @@ from ontopath.graph import PropertyGraph, test_holds
 from ontopath.query import (
     ANY_NODE,
     Concat,
+    ConceptAtom,
     EdgeStep,
     NodeTest,
     PropTest,
+    RoleAtom,
     Star,
     UnionPath,
     concat_path,
@@ -98,6 +100,30 @@ def walk_pairs(path, g: PropertyGraph, unroll=None) -> set:
         return out
 
     return {(u, v) for u in nodes for v in nodes if matches(star_free, u, v)}
+
+
+def brute_force_answers(q, g: PropertyGraph) -> set:
+    """Answers of a C2RPQ: every assignment of its variables over g's nodes
+    under which each atom holds, projected onto the answer variables."""
+    variables = sorted(q.variables())
+    role_pairs = {a: walk_pairs(a.path, g) for a in q.atoms if isinstance(a, RoleAtom)}
+
+    def holds(atom, m):
+        if isinstance(atom, ConceptAtom):
+            return any(g.has_label(m[atom.var], l) for l in atom.labels)
+        if isinstance(atom, RoleAtom):
+            return (m[atom.src], m[atom.dst]) in role_pairs[atom]
+        if len(atom.vars) == 1:
+            return test_holds(atom.test, g.node_props[m[atom.vars[0]]])
+        u, v = (m[x] for x in atom.vars)
+        return test_holds(atom.test, g.edge_props.get((u, v), {}))
+
+    out = set()
+    for values in itertools.product(sorted(g.nodes), repeat=len(variables)):
+        m = dict(zip(variables, values))
+        if all(holds(atom, m) for atom in q.atoms):
+            out.add(tuple(m[v] for v in q.answer_vars))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import make_graph, random_graph, walk_pairs
+from oracles import brute_force_answers, make_graph, random_graph, walk_pairs
 
 from ontopath.errors import GraphFormatError
 from ontopath.graph import (
@@ -24,6 +24,7 @@ from ontopath.query import (
     NodeTest,
     PropTest,
     Star,
+    TestAtom,
     TestNot,
     concat_path,
     parse_query,
@@ -190,6 +191,55 @@ def test_edge_test_atom():
     assert eval_query(q, g) == {("a", "b")}
     q2 = parse_query("q(x,y) :- r(x,y), w>5(x,y)")
     assert eval_query(q2, g) == set()
+
+
+def test_test_variable_bound_by_no_other_atom_raises():
+    g = make_graph({"a": ["A"]})
+    q = C2RPQ(("x",), frozenset({ConceptAtom(frozenset({"A"}), "x"),
+                                 TestAtom(DataTest("w", ">", 4), ("x", "y"))}))
+    with pytest.raises(ValueError, match="y"):
+        eval_query(q, g)
+    with pytest.raises(ValueError, match="y"):
+        eval_query(q, PropertyGraph())
+
+
+# -- equivalence with the brute-force query oracle ----------------------------
+
+
+_TEST_QUERIES = [
+    # one-variable tests
+    ("q(x) :- A(x), w>20(x)", False),
+    ("q(x,y) :- r(x,y), w<=25(y), v>=15(y)", False),
+    ("q(x) :- r(x,y), (w>10|v<5)(y)", False),
+    # two-variable tests, including inverse roles
+    ("q(x,y) :- r(x,y), w>20(x,y)", False),
+    ("q(x,y) :- inv(s)(x,y), w<30(x,y), v>=10(y)", False),
+    ("q(x) :- r(x,y), s(y,z), w>25(y,z)", False),
+    # negation over absent properties and over edges without properties
+    ("q(x) :- B(x), !(w>20)(x)", False),
+    ("q(x,y) :- s(x,y), !(w>20)(x,y)", False),
+    ("q(x,y) :- r(x,y), !(w>20 & v<30)(x,y), !(v=3)(y)", False),
+    # a test on a self-loop
+    ("q(x) :- r(x,x), w>4(x,x)", False),
+    # a test on an answer variable
+    ("q(x,y) :- r(x,y), w>10(x)", False),
+    # a test on a variable bound only by a concept atom
+    ("q(x) :- A(x), v<=30(x)", False),
+    ("q(x) :- r(x,y), B(z), w>10(z)", True),
+    ("q() :- B(x), !(w>25)(x)", False),
+    # tests next to navigational path atoms
+    ("q(x,y) :- (r.s*)(x,y), w>15(x,y)", True),
+]
+
+
+def test_engine_matches_brute_force_answers_on_random_graphs():
+    rng = random.Random(505)
+    for _ in range(40):
+        g = random_graph(rng, max_nodes=5, prop_keys=("w", "v"))
+        for text, extended in _TEST_QUERIES:
+            q = parse_query(text, extended=extended)
+            assert eval_query(q, g) == brute_force_answers(q, g), \
+                f"{text} on\n{graph_to_jsonl(g)}"
 
 
 # -- equivalence with the walk oracle ----------------------------------------

@@ -133,6 +133,15 @@ def test_clipping_hypothesis_budget_raises():
         clipping(q, idx, {"y"}, g, max_hypotheses=1)
 
 
+@pytest.mark.parametrize("prune", [True, False])
+def test_query_budget_bounds_the_union(prune):
+    t = parse_tbox("B & C <= A\nD & E <= A\nexists r . F <= A")
+    q = parse_query("q(x) :- A(x)")
+    assert len(rewrite_ncq(q, t, budget=RewriteBudget(max_queries=4), prune=prune)) == 4
+    with pytest.raises(BudgetExceededError):
+        rewrite_ncq(q, t, budget=RewriteBudget(max_queries=3), prune=prune)
+
+
 # -- rewrite_ncq -----------------------------------------------------------------
 
 
