@@ -5,6 +5,12 @@ edges are closed under the non-generating normal-form rules; existential
 right-hand sides spawn anonymous witness nodes (reused per node/axiom
 pair) up to a generation depth.  Certain answers are the query answers
 over the chased graph that touch only base nodes.
+
+Existential axioms look up a node's role successors in a map per role name
+and direction, built from the graph the first time an axiom reads that
+role and extended with every edge the chase adds.  Rounds run the axioms
+in order over the nodes in sorted order, so the index changes how fast a
+trigger is found, not which triggers fire or how witnesses are named.
 """
 from __future__ import annotations
 
@@ -24,17 +30,30 @@ from .tbox import (
 ANON_PREFIX = "_:"
 
 
-def _matching_successors(g, node, role: Role):
+def _matching_successors(g, index, node, role: Role):
+    """Nodes that `node` reaches over `role`; `index` maps (role name,
+    inverted) to {node: successors} and gains that role's map on first use."""
+    key = (role.name, role.inverted)
+    succ = index.get(key)
+    if succ is None:
+        succ = index[key] = {}
+        for u, v in g.pairs(role.name):
+            if role.inverted:
+                u, v = v, u
+            succ.setdefault(u, set()).add(v)
+    return succ.get(node, ())
+
+
+def _add_role_edge(g, index, src, role: Role, dst) -> bool:
     if role.inverted:
-        return [u for (u, v) in g.pairs(role.name) if v == node]
-    return [v for (u, v) in g.pairs(role.name) if u == node]
-
-
-def _add_role_edge(g, src, role: Role, dst) -> bool:
-    edge = (dst, role.name, src) if role.inverted else (src, role.name, dst)
-    if edge in g.edges:
+        src, dst = dst, src
+    if (src, role.name, dst) in g.edges:
         return False
-    g.add_edge(*edge)
+    g.add_edge(src, role.name, dst)
+    for inverted, u, v in ((False, src, dst), (True, dst, src)):
+        succ = index.get((role.name, inverted))
+        if succ is not None:
+            succ.setdefault(u, set()).add(v)
     return True
 
 
@@ -44,6 +63,7 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
     t = normalize(t)
     out = g.copy()
     generation = {n: 0 for n in out.nodes}
+    successors = {}  # (role name, inverted) -> {node: successor set}
 
     def ensure_label(node, name) -> bool:
         if name == TOP or name in out.labels[node]:
@@ -68,7 +88,7 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                 for node in sorted(out.nodes):
                     if out.has_label(node, nf.rhs):
                         continue
-                    for succ in _matching_successors(out, node, nf.role):
+                    for succ in _matching_successors(out, successors, node, nf.role):
                         if out.has_label(succ, nf.filler):
                             ensure_label(node, nf.rhs)
                             changed = True
@@ -78,14 +98,14 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                 pairs = ({(v, u) for (u, v) in base_pairs} if nf.sub.inverted
                          else set(base_pairs))
                 for u, v in sorted(pairs):
-                    if _add_role_edge(out, u, nf.sup, v):
+                    if _add_role_edge(out, successors, u, nf.sup, v):
                         changed = True
             elif isinstance(nf, ExistsRight):
                 for node in sorted(out.nodes):
                     if not out.has_label(node, nf.lhs):
                         continue
                     if any(out.has_label(s, nf.filler)
-                           for s in _matching_successors(out, node, nf.role)):
+                           for s in _matching_successors(out, successors, node, nf.role)):
                         continue
                     if generation[node] >= depth:
                         continue
@@ -95,7 +115,7 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         witness += "'"
                     out.add_node(witness)
                     generation[witness] = generation[node] + 1
-                    _add_role_edge(out, node, nf.role, witness)
+                    _add_role_edge(out, successors, node, nf.role, witness)
                     ensure_label(witness, nf.filler)
                     changed = True
             else:

@@ -171,9 +171,8 @@ def cmd_chase(args) -> int:
     config = load_config(args)
     t = _load_tbox(args.tbox)
     g = _load_graph_arg(args.graph)
-    chased = chase(g, t, config.depth)
-    _emit(args, graph_to_jsonl(chased),
-          {"graph": graph_to_jsonl(chased), "depth": config.depth})
+    text = graph_to_jsonl(chase(g, t, config.depth))
+    _emit(args, text, {"graph": text, "depth": config.depth})
     return EXIT_OK
 
 

@@ -4,14 +4,17 @@ Evaluation follows set semantics over mappings: a path expression denotes a
 binary relation over nodes, node tests denote self-pairs, the Kleene star is
 computed as a reachability fixpoint (identity pairs plus transitive closure
 of the inner relation).  Query answers are projections of the natural join
-of the concept and role atom relations; data tests come last and keep the
-rows whose bound node, or bound endpoint pair, satisfies them.
+of the concept and role atom relations, taken atom by atom as a hash join
+on the variables the rows so far share with the next atom (a cross product
+when they share none); data tests come last and keep the rows whose bound
+node, or bound endpoint pair, satisfies them.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from operator import itemgetter
 
 from .errors import GraphFormatError
 from .query import (
@@ -320,15 +323,17 @@ def _test_props(atom: TestAtom, row, g: PropertyGraph):
 
 
 def _join(rows, extra):
-    out = []
-    for row in rows:
-        for add in extra:
-            for k, v in add.items():
-                if row.get(k, v) != v:
-                    break
-            else:
-                out.append({**row, **add})
-    return out
+    """Hash join of two row lists, each with one variable set throughout."""
+    if rows == [{}]:
+        return extra
+    shared = [v for v in extra[0] if v in rows[0]] if extra else []
+    if not shared:
+        return [{**row, **add} for row in rows for add in extra]
+    key = itemgetter(*shared)  # one variable: its value; more: a tuple
+    index = {}
+    for add in extra:
+        index.setdefault(key(add), []).append(add)
+    return [{**row, **add} for row in rows for add in index.get(key(row), ())]
 
 
 def eval_query(q, g: PropertyGraph) -> set:

@@ -101,6 +101,10 @@ _TBOX_CORPUS = [
     "A <= exists r . (B & C)\nexists s . top <= D",
     "inv(employs) <= worksFor\nA <= exists employs . B",
     "top <= A\nA & B <= C",
+    # existential axioms reading roles the chase itself extends
+    "exists s . B <= A\nr <= s",
+    "A <= exists r . B\nexists inv(r) . A <= C\nexists r . C <= D",
+    "exists s . A <= B\ninv(r) <= s",
 ]
 
 

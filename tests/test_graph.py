@@ -229,6 +229,12 @@ _TEST_QUERIES = [
     ("q() :- B(x), !(w>25)(x)", False),
     # tests next to navigational path atoms
     ("q(x,y) :- (r.s*)(x,y), w>15(x,y)", True),
+    # join shapes: a cross product, joins on one and on two shared variables
+    ("q(x,y) :- A(x), B(y), r(x,y)", False),
+    ("q(x,y) :- r(x,y), s(x,y)", False),
+    ("q(x) :- r(x,y), s(y,z), r(z,x)", False),
+    ("q(x,y) :- r(x,x), s(x,y)", False),
+    ("q() :- r(x,y), s(y,x)", False),
 ]
 
 
