@@ -134,7 +134,7 @@ def cmd_rewrite(args) -> int:
     t = _load_tbox(args.tbox)
     q = parse_query(_read(args.query))
     rewriting = rewrite_ncq(q, t, budget=config.budget()).to_uc2rpq()
-    branches = sorted(query_to_str(b) for b in rewriting.branches)
+    branches = [query_to_str(b) for b in rewriting.branches]
     _emit(args, "\n".join(branches) + "\n",
           {"answer_vars": list(rewriting.answer_vars), "branches": branches})
     return EXIT_OK

@@ -27,10 +27,12 @@ from __future__ import annotations
 from .errors import BudgetExceededError
 from .query import (
     ANY_NODE,
+    Concat,
     EdgeStep,
     NodeTest,
     PathExpr,
     Star,
+    UnionPath,
     concat_path,
     star_path,
     union_path,
@@ -112,9 +114,6 @@ class DependencyGraph:
         self.roles = RoleOrder(nf)
         self.ex_right = tuple(
             (i, ax) for i, ax in enumerate(nf) if isinstance(ax, ExistsRight))
-        self._atomic = tuple(ax for ax in nf if isinstance(ax, AtomicInclusion))
-        self._conj = tuple(ax for ax in nf if isinstance(ax, ConjInclusion))
-        self._ex_left = tuple(ax for ax in nf if isinstance(ax, ExistsLeft))
         self._ex_right_by_lhs = {}
         for i, ax in self.ex_right:
             self._ex_right_by_lhs.setdefault(ax.lhs, []).append(i)
@@ -139,32 +138,32 @@ class DependencyGraph:
         changed = True
         while changed:
             changed = False
-            for ax in self._atomic:
-                if ax.lhs in out and ax.rhs not in out:
-                    out.add(ax.rhs)
+            for sup, sub in self.eps_edges:
+                if sub in out and sup not in out:
+                    out.add(sup)
                     changed = True
-            for ax in self._conj:
-                if ax.rhs not in out and all(n in out for n in ax.lhs):
-                    out.add(ax.rhs)
+            for sup, parts in self.conj_edges:
+                if sup not in out and parts <= out:
+                    out.add(sup)
                     changed = True
             for name in sorted(out):
                 for i in self._ex_right_by_lhs.get(name, ()):
                     ax = self.tbox.normalized[i]
                     child = self._witness_labels.get(i, {ax.filler, TOP})
-                    for left in self._ex_left:
-                        if left.rhs in out:
+                    for sup, role, filler in self.role_edges:
+                        if sup in out:
                             continue
-                        if self.roles.is_subrole(ax.role, left.role) and left.filler in child:
-                            out.add(left.rhs)
+                        if self.roles.is_subrole(ax.role, role) and filler in child:
+                            out.add(sup)
                             changed = True
             if parent is not None:
                 parent_labels, role_in = parent
-                for left in self._ex_left:
-                    if left.rhs in out:
+                for sup, role, filler in self.role_edges:
+                    if sup in out:
                         continue
-                    if (self.roles.is_subrole(role_in.inverse(), left.role)
-                            and left.filler in parent_labels):
-                        out.add(left.rhs)
+                    if (self.roles.is_subrole(role_in.inverse(), role)
+                            and filler in parent_labels):
+                        out.add(sup)
                         changed = True
         return out
 
@@ -323,8 +322,6 @@ def _nullable(expr: PathExpr) -> bool:
     """Whether the expression already matches the zero-length walk everywhere."""
     if isinstance(expr, Star) or expr == ANY_NODE:
         return True
-    from .query import Concat, UnionPath
-
     if isinstance(expr, UnionPath):
         return any(_nullable(b) for b in expr.branches)
     if isinstance(expr, Concat):

@@ -6,6 +6,13 @@ role atoms carry arbitrary path expressions (concatenation, union, Kleene
 star, node tests), grouped into a UC2RPQ.  Path expressions are kept in a
 canonical form (flattened operators, sorted union branches, merged node
 tests) so that structural comparisons are deterministic.
+
+Canonical form is an invariant of construction: the smart constructors
+`concat_path`, `union_path` and `star_path` return it whenever their
+arguments are canonical, and the parser, `inverse_path` and
+`substitute_role` build every path through them.  Nothing re-walks a path
+to canonicalize it; `canon_path`/`canon_query` are kept only at
+`rewrite_ncq`'s input, for hand-built queries.
 """
 from __future__ import annotations
 
@@ -530,7 +537,6 @@ class _QueryParser:
     def _path_atom(self):
         path = self._path_union()
         vars_ = self._args()
-        path = canon_path(path)
         if len(vars_) == 1:
             if not isinstance(path, NodeTest):
                 tok = self.peek()
@@ -639,7 +645,7 @@ def parse_query(text: str, extended: bool = False) -> C2RPQ:
     """Parse a single query; `extended` admits navigational path atoms."""
     parser = _QueryParser(_tokenize_query(text), extended=extended)
     q = parser.parse_query()
-    return _validate_query(canon_query(q), connected=not extended)
+    return _validate_query(q, connected=not extended)
 
 
 def parse_rewriting(text: str) -> UC2RPQ:
@@ -684,7 +690,7 @@ def _atom_targets(atom2, atoms1):
                 yield [(atom2.var, a1.src)]
                 yield [(atom2.var, a1.dst)]
     elif isinstance(atom2, RoleAtom):
-        inv = canon_path(inverse_path(atom2.path))
+        inv = inverse_path(atom2.path)
         for a1 in atoms1:
             if isinstance(a1, RoleAtom):
                 if a1.path == atom2.path:
@@ -716,13 +722,12 @@ def contains_structurally(q: C2RPQ, q2: C2RPQ) -> bool:
         mapping = _bind(mapping, v2, v1)
         if mapping is None:
             return False
-    atoms1 = sorted(q.atoms, key=atom_sort_key)
-    atoms2 = sorted(q2.atoms, key=atom_sort_key)
+    atoms2 = tuple(q2.atoms)
 
     def search(i, mapping):
         if i == len(atoms2):
             return True
-        for pairs in _atom_targets(atoms2[i], atoms1):
+        for pairs in _atom_targets(atoms2[i], q.atoms):
             m = mapping
             for var2, var1 in pairs:
                 m = _bind(m, var2, var1)
@@ -751,7 +756,7 @@ def substitute_role(q: C2RPQ, role: Role, replacement: PathExpr) -> C2RPQ:
 
     Steps over the inverse of `role` receive the reversed replacement.
     """
-    inv = canon_path(inverse_path(replacement))
+    inv = inverse_path(replacement)
 
     def subst(p: PathExpr) -> PathExpr:
         if isinstance(p, EdgeStep):
@@ -769,7 +774,7 @@ def substitute_role(q: C2RPQ, role: Role, replacement: PathExpr) -> C2RPQ:
     atoms = set()
     for atom in q.atoms:
         if isinstance(atom, RoleAtom):
-            atoms.add(RoleAtom(canon_path(subst(atom.path)), atom.src, atom.dst))
+            atoms.add(RoleAtom(subst(atom.path), atom.src, atom.dst))
         else:
             atoms.add(atom)
     return C2RPQ(q.answer_vars, frozenset(atoms))

@@ -117,7 +117,7 @@ def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
     attachments = set()
     kept = []
     hypothesis_options = []
-    for atom in sorted(q.atoms, key=atom_sort_key):
+    for atom in q.atoms:
         touched = set(atom_vars(atom)) & y
         if not touched:
             kept.append(atom)
@@ -168,7 +168,7 @@ def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
         atoms.add(ConceptAtom(frozenset({ax.lhs}), z))
         for extra in combo:
             atoms.add(ConceptAtom(frozenset({extra}), z))
-        results.append(canon_query(C2RPQ(answer_vars, frozenset(atoms))))
+        results.append(C2RPQ(answer_vars, frozenset(atoms)))
     return tuple(dict.fromkeys(results))
 
 
@@ -229,7 +229,7 @@ def _replace_concept_atom(q: C2RPQ, atom: ConceptAtom, witness_set,
     fresh = _fresh_vars(q.variables(), "__w")
     for name in sorted(witness_set):
         atoms.add(RoleAtom(rewr_concept(name, g), atom.var, next(fresh)))
-    return canon_query(C2RPQ(q.answer_vars, frozenset(atoms)))
+    return C2RPQ(q.answer_vars, frozenset(atoms))
 
 
 def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> list:

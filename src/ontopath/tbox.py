@@ -534,13 +534,3 @@ def concept_names(normalized) -> tuple:
         elif isinstance(nf, ExistsRight):
             names.update((nf.lhs, nf.filler))
     return tuple(sorted(names))
-
-
-def role_names(normalized) -> tuple:
-    names = set()
-    for nf in normalized:
-        if isinstance(nf, (ExistsLeft, ExistsRight)):
-            names.add(nf.role.name)
-        elif isinstance(nf, RoleInclusion):
-            names.update((nf.sub.name, nf.sup.name))
-    return tuple(sorted(names))

@@ -250,6 +250,47 @@ def test_criterion_7_byte_identical_output_across_processes():
                 assert first.strip(), (name, command)
 
 
+_SWEEP_DUMP = f"""
+import random, sys
+from corpus import random_instance
+from ontopath.cypher import emit_cypher
+from ontopath.errors import UnsupportedPathError
+from ontopath.query import rewriting_to_str
+from ontopath.rewriter import rewrite_ncq
+
+rng = random.Random({SWEEP_SEED})
+for _ in range(int(sys.argv[1])):
+    t, g, q = random_instance(rng)
+    rewriting = rewrite_ncq(q, t).to_uc2rpq()
+    sys.stdout.write(rewriting_to_str(rewriting))
+    try:
+        emitted = emit_cypher(rewriting)
+    except UnsupportedPathError as exc:
+        print("unsupported:", exc)
+    else:
+        sys.stdout.write(emitted.text)
+        for note in emitted.diagnostics:
+            print("note:", note)
+"""
+
+
+def test_sweep_output_independent_of_hash_seed():
+    # Criterion 7 reruns three instances under one hash seed; this reruns a
+    # slice of the sweep under two, so set and frozenset iteration order
+    # (which follows string hashes) cannot leak into rewritings or Cypher.
+    root = Path(__file__).parent.parent
+    pythonpath = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SWEEP_DUMP, "150"],
+            capture_output=True, text=True, check=True, env=env, cwd=str(root))
+        outputs.append(proc.stdout)
+    assert outputs[0].count(" :- ") >= 150
+    assert outputs[0] == outputs[1]
+
+
 def test_criterion_8_cypher_round_trip_against_live_store():
     from ontopath import httpstore
 

@@ -9,19 +9,27 @@ from oracles import random_graph, walk_pairs
 from ontopath.chase import certain_answers
 from ontopath.graph import eval_query, path_pairs
 from ontopath.query import (
+    ANY_NODE,
+    C2RPQ,
+    Concat,
     DataTest,
     EdgeStep,
     NodeTest,
     PropTest,
+    RoleAtom,
+    Star,
     TestNot,
+    UnionPath,
     canon_path,
     concat_path,
     inverse_path,
     parse_query,
     parse_rewriting,
+    path_to_str,
     query_to_str,
     rewriting_to_str,
     star_path,
+    substitute_role,
     union_path,
 )
 from ontopath.rewriter import rewrite_ncq
@@ -52,6 +60,45 @@ _paths = st.recursive(
 def test_canonicalization_preserves_semantics(path, seed):
     g = random_graph(random.Random(seed), max_nodes=4)
     assert path_pairs(canon_path(path), g) == path_pairs(path, g)
+
+
+def _is_canonical(p) -> bool:
+    """The shape the smart constructors promise, checked without them."""
+    if isinstance(p, Concat):
+        return len(p.parts) > 1 and all(
+            not isinstance(x, Concat) and x != ANY_NODE and _is_canonical(x)
+            for x in p.parts)
+    if isinstance(p, UnionPath):
+        branches = list(p.branches)
+        return (len(branches) > 1
+                and len(set(branches)) == len(branches)
+                and sum(isinstance(b, NodeTest) for b in branches) <= 1
+                and branches == sorted(branches, key=path_to_str)
+                and all(not isinstance(b, UnionPath) and _is_canonical(b)
+                        for b in branches))
+    if isinstance(p, Star):
+        return (not isinstance(p.inner, (Star, NodeTest))
+                and _is_canonical(p.inner))
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_paths, _paths, _paths,
+       st.sampled_from([Role("r"), Role("r", inverted=True), Role("s")]))
+def test_constructed_paths_are_canonical(path, other, replacement, role):
+    # The rewriter never re-canonicalizes: every path the constructors,
+    # `inverse_path` and `substitute_role` build must already be canonical.
+    for p in (path, inverse_path(path)):
+        assert _is_canonical(p), path_to_str(p)
+        assert canon_path(p) == p, path_to_str(p)
+    assert union_path([path, other]) == union_path([other, path])
+    assert (concat_path([concat_path([path, other]), replacement])
+            == concat_path([path, concat_path([other, replacement])]))
+    q = C2RPQ(("x",), frozenset({RoleAtom(path, "x", "y"),
+                                 RoleAtom(other, "y", "z")}))
+    for atom in substitute_role(q, role, replacement).atoms:
+        assert _is_canonical(atom.path), path_to_str(atom.path)
+        assert canon_path(atom.path) == atom.path, path_to_str(atom.path)
 
 
 @settings(max_examples=120, deadline=None)
