@@ -32,7 +32,7 @@ EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
 
 _ENV_PREFIX = "ONTOPATH_"
-_CONFIG_KEYS = ("max_queries", "max_clip_attempts", "witness_cap", "depth")
+_CONFIG_KEYS = ("max_queries", "witness_cap", "depth")
 
 
 class UsageError(OntopathError):
@@ -47,13 +47,12 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class Config:
     max_queries: int = RewriteBudget.max_queries
-    max_clip_attempts: int = RewriteBudget.max_clip_attempts
     witness_cap: int = RewriteBudget.witness_cap
     depth: int = 3
 
     def budget(self) -> RewriteBudget:
-        return RewriteBudget(self.max_queries, self.max_clip_attempts,
-                             self.witness_cap)
+        return RewriteBudget(max_queries=self.max_queries,
+                             witness_cap=self.witness_cap)
 
 
 def _read_config_file(path: str) -> dict:
@@ -85,7 +84,7 @@ def load_config(args) -> Config:
     flag_layer = {}
     if getattr(args, "depth", None) is not None:
         flag_layer["depth"] = args.depth
-    for key in ("max_queries", "max_clip_attempts", "witness_cap"):
+    for key in ("max_queries", "witness_cap"):
         value = getattr(args, key, None)
         if value is not None:
             flag_layer[key] = value
@@ -213,8 +212,6 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--max-queries", dest="max_queries", type=int, default=None)
-        p.add_argument("--max-clip-attempts", dest="max_clip_attempts", type=int,
-                       default=None)
         p.add_argument("--witness-cap", dest="witness_cap", type=int, default=None)
 
     p = sub.add_parser("rewrite", help="rewrite a query against a TBox")

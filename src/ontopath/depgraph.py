@@ -262,15 +262,8 @@ class DependencyGraph:
         outgoing = {}
         for src, label, dst in self._automaton:
             outgoing.setdefault(src, []).append((label, dst))
-        # Restrict to states reachable from the start concept.
-        reachable = {start}
-        queue = [start]
-        while queue:
-            state = queue.pop()
-            for _, dst in outgoing.get(state, ()):
-                if dst not in reachable:
-                    reachable.add(dst)
-                    queue.append(dst)
+        # Breadth-first depths of the states reachable from the start
+        # concept; elimination is restricted to them.
         depth = {start: 0}
         frontier = [start]
         while frontier:
@@ -291,15 +284,15 @@ class DependencyGraph:
 
         merge(START, start, (True, None))
         for src, label, dst in self._automaton:
-            if src in reachable:
+            if src in depth:
                 merge(src, dst, (True, None) if label is None else (False, label))
-        for state in sorted(reachable):
+        for state in sorted(depth):
             if state == TOP:
                 merge(state, FINAL, (True, None))
             else:
                 merge(state, FINAL, (False, NodeTest(frozenset({state}))))
 
-        order = sorted(reachable, key=lambda s: (-depth[s], s))
+        order = sorted(depth, key=lambda s: (-depth[s], s))
         for state in order:
             loop = edges.pop((state, state), None)
             loop_star = _r_star(loop)

@@ -137,10 +137,14 @@ def load_graph(text: str) -> PropertyGraph:
         if not isinstance(record, dict) or "type" not in record:
             raise GraphFormatError("each line needs a 'type' field", lineno)
         if record["type"] == "node":
+            labels = record.get("labels", [])
+            if not (isinstance(labels, list)
+                    and all(isinstance(label, str) for label in labels)):
+                raise GraphFormatError("labels must be a list of strings", lineno)
             try:
                 g.add_node(
                     str(record["id"]),
-                    record.get("labels", ()),
+                    labels,
                     _check_props(record.get("props", {}), f"line {lineno}"),
                 )
             except KeyError:
@@ -162,8 +166,20 @@ def load_graph(text: str) -> PropertyGraph:
     return g
 
 
-def _row_props(row):
-    return json.loads(row.get("props") or row.get("props-json") or "{}")
+def _csv_records(text, kind, columns):
+    """Yield (row, props) per CSV row of `kind`, with every column in `columns` set."""
+    reader = csv.DictReader(io.StringIO(text))
+    for row in reader:
+        for column in columns:
+            if row.get(column) is None:
+                raise GraphFormatError(f"{kind} record needs {column!r}",
+                                       reader.line_num)
+        try:
+            props = json.loads(row.get("props") or row.get("props-json") or "{}")
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"malformed props JSON: {exc.msg}",
+                                   reader.line_num) from None
+        yield row, props
 
 
 def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
@@ -173,13 +189,12 @@ def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
     holds JSON objects.
     """
     g = PropertyGraph()
-    for row in csv.DictReader(io.StringIO(nodes_text)):
+    for row, props in _csv_records(nodes_text, "node", ("id",)):
         labels = [l for l in (row.get("labels") or "").split(";") if l]
-        g.add_node(row["id"], labels,
-                   _check_props(_row_props(row), f"node {row['id']}"))
-    for row in csv.DictReader(io.StringIO(edges_text)):
+        g.add_node(row["id"], labels, _check_props(props, f"node {row['id']}"))
+    for row, props in _csv_records(edges_text, "edge", ("src", "label", "dst")):
         g.add_edge(row["src"], row["label"], row["dst"],
-                   _check_props(_row_props(row), f"edge {row['src']}->{row['dst']}"))
+                   _check_props(props, f"edge {row['src']}->{row['dst']}"))
     return g
 
 

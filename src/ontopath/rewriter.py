@@ -2,9 +2,10 @@
 
 The pipeline has three phases:
 
-1. Clipping saturation: non-answer variable sets whose atoms are certainly
-   satisfied by the anonymous witness of an existential axiom are folded
-   into a single concept atom on the attachment variable, to fixpoint.
+1. Clipping saturation: a non-answer variable whose atoms are certainly
+   satisfied by the anonymous witness of an existential axiom is folded
+   into a concept atom on its attachment variable, one variable at a
+   time, to fixpoint.
 2. Concept rewriting: every concept atom is replaced, per witness set of
    each of its labels, by a conjunction of concept-derivation paths with
    fresh existential endpoints; applied to closure so combinations of
@@ -54,7 +55,6 @@ class RewriteBudget:
     """Hard caps; exceeding one raises instead of silently truncating."""
 
     max_queries: int = 10_000
-    max_clip_attempts: int = 100_000
     witness_cap: int = DEFAULT_WITNESS_CAP
     max_hypotheses_per_clip: int = 64
 
@@ -95,31 +95,32 @@ def _fresh_vars(taken, prefix):
             yield name
 
 
-def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
+def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph,
              max_hypotheses: int = RewriteBudget.max_hypotheses_per_clip) -> tuple:
-    """Clip the variables `y_vars` of q against one existential axiom.
+    """Clip the existential variable `y` of q against one existential axiom.
 
     Returns the clipped queries (usually zero or one).  All variables that
-    attach the clipped region to the rest of the query are unified: the
-    axiom's witness has a single parent, so any match sends them to the
-    same node.  Several results arise only when an atom on a clipped
-    variable needs an extra label on the attachment variable to be
-    satisfied by the witness; each viable label choice yields its own
-    clipped query, with that label added as a concept atom.
+    attach y to the rest of the query are unified: the axiom's witness has
+    a single parent, so any match sends them to the same node.  Several
+    results arise only when an atom on y needs an extra label on the
+    attachment variable to be satisfied by the witness; each viable label
+    choice yields its own clipped query, with that label added as a
+    concept atom.
+
+    One variable per clip is complete: a set clip succeeds only when no
+    atom joins two of its variables, so clipping its variables one after
+    another yields a query whose attachments all map onto the set clip's,
+    and that query contains the set clip's result.
     """
     ax = g.tbox.normalized[axiom_index]
-    y = frozenset(y_vars)
-    if not y:
-        raise ValueError("the clipped variable set must be nonempty")
-    if y & set(q.answer_vars):
+    if y in q.answer_vars:
         raise ValueError("answer variables cannot be clipped")
     certain = g.witness_labels(axiom_index)
     attachments = set()
     kept = []
     hypothesis_options = []
     for atom in q.atoms:
-        touched = set(atom_vars(atom)) & y
-        if not touched:
+        if y not in atom_vars(atom):
             kept.append(atom)
             continue
         if isinstance(atom, TestAtom):
@@ -137,9 +138,9 @@ def clipping(q: C2RPQ, axiom_index: int, y_vars, g: DependencyGraph,
             continue
         if not isinstance(atom.path, EdgeStep):
             return ()
-        if atom.src in y and atom.dst in y:
-            return ()
-        if atom.dst in y:
+        if atom.src == atom.dst:
+            return ()  # the witness has no self-loop
+        if atom.dst == y:
             outside, step = atom.src, atom.path.role
         else:
             outside, step = atom.dst, atom.path.role.inverse()
@@ -183,11 +184,6 @@ def _rename_atom(atom, rename):
     return TestAtom(atom.test, tuple(rename.get(v, v) for v in atom.vars))
 
 
-def _nonempty_subsets(items):
-    for size in range(1, len(items) + 1):
-        yield from itertools.combinations(items, size)
-
-
 def _check_ncq(q: C2RPQ):
     for atom in q.atoms:
         if isinstance(atom, RoleAtom) and not isinstance(atom.path, EdgeStep):
@@ -199,17 +195,12 @@ def _check_ncq(q: C2RPQ):
 def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> list:
     seen = {q0}
     frontier = [q0]
-    attempts = 0
     while frontier:
         upcoming = []
         for q1 in sorted(frontier, key=query_to_str):
             existential = sorted(q1.variables() - set(q1.answer_vars))
             for axiom_index, _ax in g.ex_right:
-                for y in _nonempty_subsets(existential):
-                    attempts += 1
-                    if attempts > budget.max_clip_attempts:
-                        raise BudgetExceededError(
-                            f"clipping gave up after {budget.max_clip_attempts} attempts")
+                for y in existential:
                     for clipped in clipping(q1, axiom_index, y, g,
                                             budget.max_hypotheses_per_clip):
                         if clipped not in seen:

@@ -147,6 +147,19 @@ def test_eval_csv_graph_pair(capsys, tmp_path):
     assert out == "a,b\n"
 
 
+def test_eval_csv_edges_without_label_column_exits_2(capsys, tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    edges = tmp_path / "edges.csv"
+    nodes.write_text("id,labels,props\na,,\nb,,\n")
+    edges.write_text("src,dst\na,b\n")
+    query = tmp_path / "q.ncq"
+    query.write_text("q(x,y) :- knows(x,y)\n")
+    code, _out, err = run(capsys, ["eval", "-q", str(query),
+                                   "-g", f"{nodes},{edges}"])
+    assert code == 2
+    assert "'label'" in err
+
+
 def test_chase_depth_zero_has_no_anonymous_nodes(capsys, teacher_files):
     tbox, _, graph = teacher_files
     code, out, _err = run(capsys, ["chase", "-t", str(tbox), "-g", str(graph),
@@ -216,14 +229,22 @@ def test_config_precedence_flags_over_file_over_env(capsys, tmp_path, monkeypatc
     assert code == 0 and "_:" not in out
 
 
-def test_unknown_config_key_is_a_usage_error(capsys, tmp_path, teacher_files):
+@pytest.mark.parametrize("key", ["max_depth", "max_clip_attempts"])
+def test_unknown_config_key_is_a_usage_error(capsys, tmp_path, teacher_files, key):
     tbox, query, _ = teacher_files
     config = tmp_path / "conf"
-    config.write_text("max_depth = 3\n")
+    config.write_text(f"{key} = 3\n")
     code, _out, err = run(capsys, ["rewrite", "-t", str(tbox), "-q", str(query),
                                    "--config", str(config)])
     assert code == 1
-    assert "max_depth" in err
+    assert key in err
+
+
+def test_removed_clip_attempts_flag_is_a_usage_error(capsys, teacher_files):
+    tbox, query, _ = teacher_files
+    code, _out, _err = run(capsys, ["rewrite", "-t", str(tbox), "-q", str(query),
+                                    "--max-clip-attempts", "5"])
+    assert code == 1
 
 
 def test_negative_depth_rejected(capsys, teacher_files):

@@ -91,6 +91,30 @@ def test_csv_round_trip():
     assert g.pairs("teaches") == {("a", "b")}
 
 
+@pytest.mark.parametrize("nodes, edges, column", [
+    ("labels\nA\n", "src,label,dst\n", "id"),
+    ("id\na\n", "label,dst\nr,a\n", "src"),
+    ("id\na\n", "src,dst\na,a\n", "label"),
+    ("id\na\n", "src,label\na,r\n", "dst"),
+], ids=["id", "src", "label", "dst"])
+def test_csv_rejects_missing_column(nodes, edges, column):
+    with pytest.raises(GraphFormatError, match=repr(column)) as err:
+        load_graph_csv(nodes, edges)
+    assert err.value.line == 2
+
+
+def test_csv_rejects_malformed_props_json():
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_csv("id,props\na,{age: 41}\n", "")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("labels", ['"AB"', '["A", 1]', '{"A": 1}'])
+def test_load_graph_rejects_labels_that_are_not_a_list_of_strings(labels):
+    with pytest.raises(GraphFormatError):
+        load_graph(f'{{"type":"node","id":"a","labels":{labels}}}')
+
+
 def test_jsonl_round_trip():
     g = make_graph({"a": ["A"], "b": []}, [("a", "r", "b")],
                    node_props={"a": {"k": 1}}, edge_props={("a", "b"): {"w": 2}})

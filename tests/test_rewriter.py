@@ -38,7 +38,7 @@ def clip_graph(text):
 def test_clipping_folds_witness_into_concept_atom():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x) :- teaches(x,y), Student(y)")
-    (clipped,) = clipping(q, idx, {"y"}, g)
+    (clipped,) = clipping(q, idx, "y", g)
     assert query_to_str(clipped) == "q(x) :- Teacher(x)"
     # Chase-verified: Teacher(a) certainly answers the original query.
     graph = make_graph({"a": ["Teacher"]})
@@ -48,7 +48,7 @@ def test_clipping_folds_witness_into_concept_atom():
 def test_clipping_rejects_unentailed_label():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x) :- teaches(x,y), Professor(y)")
-    assert clipping(q, idx, {"y"}, g) == ()
+    assert clipping(q, idx, "y", g) == ()
     graph = make_graph({"a": ["Teacher"]})
     assert certain_answers(q, graph, g.tbox, depth=2) == set()
 
@@ -57,7 +57,7 @@ def test_clipping_guards_answer_variables():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x) :- teaches(x,y), Student(y)")
     with pytest.raises(ValueError):
-        clipping(q, idx, {"x"}, g)
+        clipping(q, idx, "x", g)
 
 
 def test_clipping_unifies_multiple_attachments():
@@ -65,7 +65,7 @@ def test_clipping_unifies_multiple_attachments():
     # to the same node; the clip unifies them.
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x,z) :- teaches(x,y), teaches(z,y), Student(y)")
-    (clipped,) = clipping(q, idx, {"y"}, g)
+    (clipped,) = clipping(q, idx, "y", g)
     assert query_to_str(clipped) == "q(x,x) :- Teacher(x)"
     graph = make_graph({"a": ["Teacher"], "b": ["Teacher"]})
     assert certain_answers(q, graph, g.tbox, depth=1) == {("a", "a"), ("b", "b")}
@@ -74,11 +74,13 @@ def test_clipping_unifies_multiple_attachments():
 
 def test_clipping_attachment_on_witness_predecessor():
     # The witness's only incoming edge comes from its parent, so an
-    # inverse-oriented atom out of the clipped region attaches there too.
+    # inverse-oriented atom out of the clipped variable attaches there too.
     g, (idx,) = clip_graph("A5 <= exists r3 . A3")
     q = parse_query("q(x) :- r3(x,v1), r3(x,v2), inv(r3)(v2,v3)")
-    clipped = clipping(q, idx, {"v1", "v2"}, g)
-    assert {query_to_str(c) for c in clipped} == {"q(x) :- A5(x)"}
+    (middle,) = clipping(q, idx, "v2", g)
+    assert query_to_str(middle) == "q(x) :- A5(x), r3(x,v1)"
+    (clipped,) = clipping(middle, idx, "v1", g)
+    assert query_to_str(clipped) == "q(x) :- A5(x)"
     graph = make_graph({"n0": ["A5"]})
     assert certain_answers(q, graph, g.tbox, depth=1) == {("n0",)}
 
@@ -86,19 +88,19 @@ def test_clipping_attachment_on_witness_predecessor():
 def test_clipping_blocks_data_tests_on_witness():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x) :- teaches(x,y), Student(y), age>30(y)")
-    assert clipping(q, idx, {"y"}, g) == ()
+    assert clipping(q, idx, "y", g) == ()
 
 
 def test_clipping_respects_role_hierarchy_direction():
     # The axiom's role must entail the atom's role, not vice versa.
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student\nteaches <= interactsWith")
     q = parse_query("q(x) :- interactsWith(x,y), Student(y)")
-    (clipped,) = clipping(q, idx, {"y"}, g)
+    (clipped,) = clipping(q, idx, "y", g)
     assert query_to_str(clipped) == "q(x) :- Teacher(x)"
 
     g2, (idx2,) = clip_graph("Teacher <= exists teaches . Student\nmentors <= teaches")
     q2 = parse_query("q(x) :- mentors(x,y), Student(y)")
-    assert clipping(q2, idx2, {"y"}, g2) == ()
+    assert clipping(q2, idx2, "y", g2) == ()
     graph = make_graph({"a": ["Teacher"]})
     assert certain_answers(q2, graph, g2.tbox, depth=2) == set()
 
@@ -106,21 +108,21 @@ def test_clipping_respects_role_hierarchy_direction():
 def test_clipping_inverse_orientation():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q(x) :- inv(teaches)(y,x), Student(y)")
-    (clipped,) = clipping(q, idx, {"y"}, g)
+    (clipped,) = clipping(q, idx, "y", g)
     assert query_to_str(clipped) == "q(x) :- Teacher(x)"
 
 
 def test_clipping_boolean_query_gets_fresh_attachment():
     g, (idx,) = clip_graph("Teacher <= exists teaches . Student")
     q = parse_query("q() :- Student(y)")
-    (clipped,) = clipping(q, idx, {"y"}, g)
+    (clipped,) = clipping(q, idx, "y", g)
     assert query_to_str(clipped) == "q() :- Teacher(__c0)"
 
 
 def test_clipping_with_parent_label_hypothesis():
     g, (idx,) = clip_graph("A <= exists p . B\nexists inv(p) . D <= C")
     q = parse_query("q(x) :- p(x,y), C(y)")
-    results = clipping(q, idx, {"y"}, g)
+    results = clipping(q, idx, "y", g)
     assert {query_to_str(c) for c in results} == {"q(x) :- A(x), D(x)"}
 
 
@@ -128,9 +130,9 @@ def test_clipping_hypothesis_budget_raises():
     g, (idx,) = clip_graph(
         "A <= exists p . B\nexists inv(p) . D <= C\nexists inv(p) . E <= C")
     q = parse_query("q(x) :- p(x,y), C(y)")
-    assert len(clipping(q, idx, {"y"}, g, max_hypotheses=2)) == 2
+    assert len(clipping(q, idx, "y", g, max_hypotheses=2)) == 2
     with pytest.raises(BudgetExceededError):
-        clipping(q, idx, {"y"}, g, max_hypotheses=1)
+        clipping(q, idx, "y", g, max_hypotheses=1)
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -235,10 +237,26 @@ def test_rewrite_atomic_empty_tbox():
 
 
 def test_budget_exceeded_raises():
+    # Clipping saturation alone generates three queries: the input, the
+    # clip of z and the clip of y after it.
     q = parse_query("q(x) :- r(x,y), s(y,z), D(z)")
     t = parse_tbox("A <= exists r . B\nB <= exists s . D")
     with pytest.raises(BudgetExceededError):
-        rewrite_ncq(q, t, budget=RewriteBudget(max_clip_attempts=2))
+        rewrite_ncq(q, t, budget=RewriteBudget(max_queries=2))
+
+
+def test_many_leaves_clip_one_at_a_time():
+    # Eleven existential leaves on one attachment: clipping them one by one
+    # reaches A(x) without trying every subset of them.
+    body = ", ".join(f"r(x,y{i})" for i in range(11))
+    q = parse_query(f"q(x) :- {body}")
+    t = parse_tbox("A <= exists r . B")
+    out = rewrite_ncq(q, t)
+    assert branches(out) == {"q(x) :- A(x)", query_to_str(q)}
+    graph = make_graph({"a": ["A"], "b": [], "c": []}, [("b", "r", "c")])
+    expected = certain_answers(q, graph, t, depth=1)
+    assert expected == {("a",), ("b",)}
+    assert eval_query(out.to_uc2rpq(), graph) == expected
 
 
 def test_determinism_across_runs():
