@@ -8,9 +8,13 @@ over the chased graph that touch only base nodes.
 
 Existential axioms look up a node's role successors in a map per role name
 and direction, built from the graph the first time an axiom reads that
-role and extended with every edge the chase adds.  Rounds run the axioms
-in order over the nodes in sorted order, so the index changes how fast a
-trigger is found, not which triggers fire or how witnesses are named.
+role and extended with every edge the chase adds.  Atomic inclusions,
+conjunctions (from their rarest conjunct) and existential right-hand sides
+visit only the nodes that the graph's label index gives for their
+left-hand side; existential left-hand sides and role inclusions visit
+every node or pair.  Rounds run the axioms in order over the nodes in
+sorted order, so the indexes change how fast a trigger is found, not
+which triggers fire or how witnesses are named.
 """
 from __future__ import annotations
 
@@ -76,11 +80,12 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
         changed = False
         for axiom_index, nf in enumerate(t.normalized):
             if isinstance(nf, AtomicInclusion):
-                for node in sorted(out.nodes):
-                    if out.has_label(node, nf.lhs) and ensure_label(node, nf.rhs):
+                for node in sorted(out.nodes_with((nf.lhs,))):
+                    if ensure_label(node, nf.rhs):
                         changed = True
             elif isinstance(nf, ConjInclusion):
-                for node in sorted(out.nodes):
+                rarest = min((out.nodes_with((name,)) for name in nf.lhs), key=len)
+                for node in sorted(rarest):
                     if all(out.has_label(node, name) for name in nf.lhs):
                         if ensure_label(node, nf.rhs):
                             changed = True
@@ -101,9 +106,7 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                     if _add_role_edge(out, successors, u, nf.sup, v):
                         changed = True
             elif isinstance(nf, ExistsRight):
-                for node in sorted(out.nodes):
-                    if not out.has_label(node, nf.lhs):
-                        continue
+                for node in sorted(out.nodes_with((nf.lhs,))):
                     if any(out.has_label(s, nf.filler)
                            for s in _matching_successors(out, successors, node, nf.role)):
                         continue

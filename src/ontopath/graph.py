@@ -3,11 +3,20 @@
 Evaluation follows set semantics over mappings: a path expression denotes a
 binary relation over nodes, node tests denote self-pairs, the Kleene star is
 computed as a reachability fixpoint (identity pairs plus transitive closure
-of the inner relation).  Query answers are projections of the natural join
-of the concept and role atom relations, taken atom by atom as a hash join
-on the variables the rows so far share with the next atom (a cross product
-when they share none); data tests come last and keep the rows whose bound
-node, or bound endpoint pair, satisfies them.
+of the inner relation).  Concept atoms and node tests read the graph's
+label index instead of scanning every node.
+
+Query answers are projections of the natural join of the concept and role
+atom relations.  A relation is a tuple of variables plus rows that are
+plain tuples of nodes, in that variable order; a role atom's rows are its
+path's pairs as they are.  Every relation is computed before any join, so
+an empty one ends evaluation at once.  The joins start from the smallest
+relation and then take, each time, the smallest relation that shares a
+variable with the rows so far, as a hash join on the shared variables (the
+smallest of all, as a cross product, only when none shares one).  Data
+tests come last and keep the rows whose bound node, or bound endpoint
+pair, satisfies them.  The branches of a union share one cache of path
+relations.
 """
 from __future__ import annotations
 
@@ -33,7 +42,6 @@ from .query import (
     TestOr,
     UC2RPQ,
     UnionPath,
-    atom_sort_key,
     atom_vars,
 )
 from .tbox import TOP
@@ -45,7 +53,10 @@ class PropertyGraph:
     """Nodes and labeled directed edges, both carrying key-value properties.
 
     Edge properties are keyed by the ordered endpoint pair; the loader
-    rejects parallel edges that would assign conflicting values.
+    rejects parallel edges that would assign conflicting values.  Two
+    indexes are kept next to `labels` and `edges`: the nodes carrying each
+    label and the endpoint pairs of each edge label.  Change the graph
+    only through `add_node`, `add_edge` and `add_label`, which keep them.
     """
 
     def __init__(self):
@@ -54,6 +65,7 @@ class PropertyGraph:
         self.edges = set()      # (src, label, dst)
         self.edge_props = {}    # (src, dst) -> {key: value}
         self._pairs_by_label = {}
+        self._nodes_by_label = {}
 
     # -- construction -------------------------------------------------------
 
@@ -62,6 +74,8 @@ class PropertyGraph:
             raise GraphFormatError(f"duplicate node id {node_id!r}")
         self.labels[node_id] = set(labels)
         self.node_props[node_id] = dict(props or {})
+        for label in self.labels[node_id]:
+            self._nodes_by_label.setdefault(label, set()).add(node_id)
 
     def add_edge(self, src, label, dst, props=None):
         for endpoint in (src, dst):
@@ -79,6 +93,7 @@ class PropertyGraph:
 
     def add_label(self, node_id, label):
         self.labels[node_id].add(label)
+        self._nodes_by_label.setdefault(label, set()).add(node_id)
 
     # -- access ---------------------------------------------------------------
 
@@ -92,6 +107,17 @@ class PropertyGraph:
     def pairs(self, label) -> set:
         return self._pairs_by_label.get(label, set())
 
+    def nodes_with(self, labels):
+        """The nodes carrying at least one of `labels`, every node when one
+        of them is TOP.  The result may be the index's own set: read it,
+        do not change it."""
+        if TOP in labels:
+            return self.labels.keys()
+        if len(labels) == 1:
+            (label,) = labels
+            return self._nodes_by_label.get(label, ())
+        return set().union(*(self._nodes_by_label.get(label, ()) for label in labels))
+
     def node_prop(self, node_id, key):
         return self.node_props.get(node_id, {}).get(key)
 
@@ -102,6 +128,7 @@ class PropertyGraph:
         out.edges = set(self.edges)
         out.edge_props = {pair: dict(ps) for pair, ps in self.edge_props.items()}
         out._pairs_by_label = {l: set(ps) for l, ps in self._pairs_by_label.items()}
+        out._nodes_by_label = {l: set(ns) for l, ns in self._nodes_by_label.items()}
         return out
 
 
@@ -120,6 +147,19 @@ def _check_props(props, where):
     if not isinstance(props, dict):
         raise GraphFormatError(f"props must be an object ({where})")
     return {k: _check_value(v, where) for k, v in props.items()}
+
+
+def _node_ref(record, key, kind, lineno):
+    """A JSONL node id, edge source or edge target: a string, or an integer
+    read as its decimal string."""
+    value = record.get(key)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if key not in record:
+        raise GraphFormatError(f"{kind} record needs {key!r}", lineno)
+    raise GraphFormatError(f"{kind} {key!r} must be a string or an integer", lineno)
 
 
 def load_graph(text: str) -> PropertyGraph:
@@ -141,23 +181,22 @@ def load_graph(text: str) -> PropertyGraph:
             if not (isinstance(labels, list)
                     and all(isinstance(label, str) for label in labels)):
                 raise GraphFormatError("labels must be a list of strings", lineno)
-            try:
-                g.add_node(
-                    str(record["id"]),
-                    labels,
-                    _check_props(record.get("props", {}), f"line {lineno}"),
-                )
-            except KeyError:
-                raise GraphFormatError("node record needs an 'id'", lineno) from None
+            g.add_node(
+                _node_ref(record, "id", "node", lineno),
+                labels,
+                _check_props(record.get("props", {}), f"line {lineno}"),
+            )
         elif record["type"] == "edge":
             pending_edges.append((lineno, record))
         else:
             raise GraphFormatError(f"unknown record type {record['type']!r}", lineno)
     for lineno, record in pending_edges:
-        try:
-            src, label, dst = str(record["src"]), str(record["label"]), str(record["dst"])
-        except KeyError as exc:
-            raise GraphFormatError(f"edge record needs {exc.args[0]!r}", lineno) from None
+        src = _node_ref(record, "src", "edge", lineno)
+        label = record.get("label")
+        if not (isinstance(label, str) and label):
+            raise GraphFormatError("edge record needs a 'label' that is a non-empty string",
+                                   lineno)
+        dst = _node_ref(record, "dst", "edge", lineno)
         try:
             g.add_edge(src, label, dst,
                        _check_props(record.get("props", {}), f"line {lineno}"))
@@ -264,8 +303,7 @@ def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
         pairs = g.pairs(path.role.name)
         result = frozenset((v, u) for u, v in pairs) if path.role.inverted else frozenset(pairs)
     elif isinstance(path, NodeTest):
-        result = frozenset(
-            (n, n) for n in g.nodes if any(g.has_label(n, l) for l in path.labels))
+        result = frozenset((n, n) for n in g.nodes_with(path.labels))
     elif isinstance(path, PropTest):
         if path.on_edge:
             result = frozenset(
@@ -320,35 +358,81 @@ def eval_path(path, x: str, y: str, g: PropertyGraph) -> set:
 # Query evaluation
 
 
-def _atom_rows(atom, g: PropertyGraph):
+def _relation(atom, g: PropertyGraph, cache):
+    """(variables, rows) of a concept or role atom; rows are node tuples."""
     if isinstance(atom, ConceptAtom):
-        return [{atom.var: n} for n in g.nodes
-                if any(g.has_label(n, l) for l in atom.labels)]
+        return (atom.var,), [(n,) for n in g.nodes_with(atom.labels)]
     if isinstance(atom, RoleAtom):
-        pairs = path_pairs(atom.path, g)
+        pairs = cache.get(atom.path)
+        if pairs is None:
+            pairs = path_pairs(atom.path, g, cache)
         if atom.src == atom.dst:
-            return [{atom.src: u} for u, v in pairs if u == v]
-        return [{atom.src: u, atom.dst: v} for u, v in pairs]
+            return (atom.src,), [(u,) for u, v in pairs if u == v]
+        return (atom.src, atom.dst), pairs
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def _test_props(atom: TestAtom, row, g: PropertyGraph):
-    ends = tuple(row[v] for v in atom.vars)  # one node, or an endpoint pair
-    return g.node_props[ends[0]] if len(ends) == 1 else g.edge_props.get(ends, _NO_PROPS)
-
-
-def _join(rows, extra):
-    """Hash join of two row lists, each with one variable set throughout."""
-    if rows == [{}]:
-        return extra
-    shared = [v for v in extra[0] if v in rows[0]] if extra else []
+def _hash_join(variables, rows, relation):
+    """Join rows over `variables` with a relation of one or two variables."""
+    rel_vars, rel_rows = relation
+    if not variables:
+        return rel_vars, rel_rows
+    shared = [v for v in rel_vars if v in variables]
+    new = [i for i, v in enumerate(rel_vars) if v not in variables]
+    variables += tuple(rel_vars[i] for i in new)
     if not shared:
-        return [{**row, **add} for row in rows for add in extra]
-    key = itemgetter(*shared)  # one variable: its value; more: a tuple
+        return variables, [row + add for row in rows for add in rel_rows]
+    # One variable gives its value as the key; two give a tuple.
+    rel_key = itemgetter(*(rel_vars.index(v) for v in shared))
+    row_key = itemgetter(*(variables.index(v) for v in shared))
+    if not new:
+        keys = set(map(rel_key, rel_rows))
+        return variables, [row for row in rows if row_key(row) in keys]
+    (position,) = new  # two variables, one of them shared
     index = {}
-    for add in extra:
-        index.setdefault(key(add), []).append(add)
-    return [{**row, **add} for row in rows for add in index.get(key(row), ())]
+    for add in rel_rows:
+        index.setdefault(rel_key(add), []).append(add[position])
+    return variables, [row + (node,) for row in rows
+                       for node in index.get(row_key(row), ())]
+
+
+def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
+    """Answer tuples of one C2RPQ; `cache` maps paths to their pairs."""
+    tests = [atom for atom in q.atoms if isinstance(atom, TestAtom)]
+    atoms = [atom for atom in q.atoms if not isinstance(atom, TestAtom)]
+    unbound = {v for atom in tests for v in atom.vars}.difference(*map(atom_vars, atoms))
+    if unbound:
+        raise ValueError(f"variables occur only in data tests: {', '.join(sorted(unbound))}")
+    relations = []
+    for atom in atoms:
+        relation = _relation(atom, g, cache)
+        if not relation[1]:
+            return set()
+        relations.append(relation)
+    variables, rows = (), [()]
+    while relations:
+        # The smallest relation linked to the rows so far, else the smallest.
+        bound = set(variables)
+        linked = [i for i, (rel_vars, _) in enumerate(relations)
+                  if not bound.isdisjoint(rel_vars)]
+        nearest = min(linked or range(len(relations)), key=lambda i: len(relations[i][1]))
+        variables, rows = _hash_join(variables, rows, relations.pop(nearest))
+        if not rows:
+            return set()
+    for atom in tests:
+        ends = itemgetter(*(variables.index(v) for v in atom.vars))
+        if len(atom.vars) == 1:
+            rows = [row for row in rows
+                    if test_holds(atom.test, g.node_props[ends(row)])]
+        else:
+            rows = [row for row in rows
+                    if test_holds(atom.test, g.edge_props.get(ends(row), _NO_PROPS))]
+    if not q.answer_vars:
+        return {()} if rows else set()
+    if len(q.answer_vars) == 1:
+        position = variables.index(q.answer_vars[0])
+        return {(row[position],) for row in rows}
+    return set(map(itemgetter(*(variables.index(v) for v in q.answer_vars)), rows))
 
 
 def eval_query(q, g: PropertyGraph) -> set:
@@ -356,25 +440,12 @@ def eval_query(q, g: PropertyGraph) -> set:
 
     Raises ValueError when a data-test variable occurs in no other atom.
     """
+    cache = {}  # path -> pairs, shared by the branches of a union
     if isinstance(q, UC2RPQ):
         out = set()
         for branch in q.branches:
-            out.update(eval_query(branch, g))
+            out.update(_eval_branch(branch, g, cache))
         return out
     if not isinstance(q, C2RPQ):
         raise TypeError(f"not a query: {q!r}")
-    atoms = sorted(q.atoms, key=atom_sort_key)  # data tests sort last
-    test_vars = {v for atom in atoms if isinstance(atom, TestAtom) for v in atom.vars}
-    unbound = test_vars.difference(*(atom_vars(a) for a in atoms if not isinstance(a, TestAtom)))
-    if unbound:
-        raise ValueError(f"variables occur only in data tests: {', '.join(sorted(unbound))}")
-    rows = [{}]
-    for atom in atoms:
-        if isinstance(atom, TestAtom):
-            rows = [row for row in rows
-                    if test_holds(atom.test, _test_props(atom, row, g))]
-        else:
-            rows = _join(rows, _atom_rows(atom, g))
-        if not rows:
-            return set()
-    return {tuple(row[v] for v in q.answer_vars) for row in rows}
+    return _eval_branch(q, g, cache)

@@ -105,6 +105,8 @@ _TBOX_CORPUS = [
     "exists s . B <= A\nr <= s",
     "A <= exists r . B\nexists inv(r) . A <= C\nexists r . C <= D",
     "exists s . A <= B\ninv(r) <= s",
+    # an existential right-hand side on every node, read through the label index
+    "top <= exists r . B",
 ]
 
 

@@ -160,6 +160,17 @@ def test_eval_csv_edges_without_label_column_exits_2(capsys, tmp_path):
     assert "'label'" in err
 
 
+def test_eval_jsonl_null_node_id_exits_2(capsys, tmp_path):
+    graph = tmp_path / "g.jsonl"
+    graph.write_text('{"type":"node","id":"a"}\n{"type":"node","id":null}\n')
+    query = tmp_path / "q.ncq"
+    query.write_text("q(x) :- A(x)\n")
+    code, out, err = run(capsys, ["eval", "-q", str(query), "-g", str(graph)])
+    assert code == 2
+    assert out == ""
+    assert "'id'" in err and "line 2" in err
+
+
 def test_chase_depth_zero_has_no_anonymous_nodes(capsys, teacher_files):
     tbox, _, graph = teacher_files
     code, out, _err = run(capsys, ["chase", "-t", str(tbox), "-g", str(graph),

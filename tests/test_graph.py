@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_answers, make_graph, random_graph, walk_pairs
 
+from ontopath import graph as graph_module
 from ontopath.errors import GraphFormatError
 from ontopath.graph import (
     PropertyGraph,
@@ -23,15 +24,17 @@ from ontopath.query import (
     EdgeStep,
     NodeTest,
     PropTest,
+    RoleAtom,
     Star,
     TestAtom,
     TestNot,
+    UC2RPQ,
     concat_path,
     parse_query,
     star_path,
     union_path,
 )
-from ontopath.tbox import Role
+from ontopath.tbox import TOP, Role
 
 
 def test_load_graph_jsonl():
@@ -115,6 +118,32 @@ def test_load_graph_rejects_labels_that_are_not_a_list_of_strings(labels):
         load_graph(f'{{"type":"node","id":"a","labels":{labels}}}')
 
 
+@pytest.mark.parametrize("value", ["null", "true", "1.5", "[]", "{}"])
+@pytest.mark.parametrize("key", ["id", "src", "label", "dst"])
+def test_load_graph_rejects_node_references_and_labels_of_other_types(key, value):
+    fields = {"id": '"a"', "src": '"a"', "label": '"r"', "dst": '"a"'}
+    fields[key] = value
+    text = (f'{{"type":"node","id":{fields["id"]}}}\n'
+            f'{{"type":"edge","src":{fields["src"]},"label":{fields["label"]},'
+            f'"dst":{fields["dst"]}}}\n')
+    with pytest.raises(GraphFormatError, match=repr(key)) as err:
+        load_graph(text)
+    assert err.value.line == (1 if key == "id" else 2)
+
+
+@pytest.mark.parametrize("label", ['""', "7"])
+def test_load_graph_rejects_edge_labels_that_are_not_nonempty_strings(label):
+    with pytest.raises(GraphFormatError, match="'label'"):
+        load_graph(f'{{"type":"node","id":"a"}}\n'
+                   f'{{"type":"edge","src":"a","label":{label},"dst":"a"}}\n')
+
+
+def test_load_graph_reads_integer_node_references_as_strings():
+    g = load_graph('{"type":"node","id":1}\n{"type":"edge","src":1,"label":"r","dst":"1"}')
+    assert set(g.nodes) == {"1"}
+    assert g.pairs("r") == {("1", "1")}
+
+
 def test_jsonl_round_trip():
     g = make_graph({"a": ["A"], "b": []}, [("a", "r", "b")],
                    node_props={"a": {"k": 1}}, edge_props={("a", "b"): {"w": 2}})
@@ -123,6 +152,39 @@ def test_jsonl_round_trip():
     assert again.edges == g.edges
     assert again.node_props == g.node_props
     assert again.edge_props == g.edge_props
+
+
+# -- the label index ------------------------------------------------------------
+
+
+def _index_agrees_with_labels(g):
+    for label in {l for ls in g.labels.values() for l in ls} | {"Missing"}:
+        assert set(g.nodes_with({label})) == {n for n in g.nodes if label in g.labels[n]}
+    assert set(g.nodes_with({"A", "B"})) == {
+        n for n in g.nodes if g.labels[n] & {"A", "B"}}
+
+
+def test_label_index_follows_add_node_add_label_and_copy():
+    g = make_graph({"a": ["A"], "b": ["A", "B"], "c": []})
+    _index_agrees_with_labels(g)
+    g.add_label("c", "B")
+    g.add_node("d", ["C"])
+    _index_agrees_with_labels(g)
+    copied = g.copy()
+    _index_agrees_with_labels(copied)
+    copied.add_label("a", "C")
+    copied.add_node("e", ["A"])
+    _index_agrees_with_labels(copied)
+    assert set(g.nodes_with({"C"})) == {"d"}
+    assert set(g.nodes_with({"A"})) == {"a", "b"}
+    _index_agrees_with_labels(g)
+
+
+def test_nodes_with_top_is_every_node():
+    g = make_graph({"a": ["A"], "b": []})
+    assert set(g.nodes_with({TOP})) == {"a", "b"}
+    assert set(g.nodes_with({TOP, "A"})) == {"a", "b"}
+    assert set(g.nodes_with(())) == set()
 
 
 # -- eval_path ----------------------------------------------------------------
@@ -225,6 +287,43 @@ def test_test_variable_bound_by_no_other_atom_raises():
         eval_query(q, g)
     with pytest.raises(ValueError, match="y"):
         eval_query(q, PropertyGraph())
+    # The check comes before the evaluator stops at an empty relation.
+    with pytest.raises(ValueError, match="y"):
+        eval_query(q, make_graph({"a": ["B"]}))
+
+
+def _shared_path_union():
+    shared = "(r.s*)(x,y)"
+    branches = tuple(parse_query(text, extended=True) for text in (
+        f"q(x) :- {shared}, A(y)",
+        f"q(x) :- {shared}, B(x)",
+        "q(x) :- s(x,x)",
+    ))
+    return branches[0].atoms, UC2RPQ(("x",), branches)
+
+
+def test_union_answers_are_the_union_of_branch_answers():
+    _, union = _shared_path_union()
+    rng = random.Random(808)
+    for _ in range(30):
+        g = random_graph(rng, max_nodes=5)
+        expected = set().union(*(brute_force_answers(b, g) for b in union.branches))
+        assert eval_query(union, g) == expected, graph_to_jsonl(g)
+
+
+def test_union_branches_share_one_path_cache(monkeypatch):
+    atoms, union = _shared_path_union()
+    (shared,) = [a.path for a in atoms if isinstance(a, RoleAtom)]
+    calls = []
+
+    def counting(path, g, _cache=None):
+        calls.append(path)
+        return path_pairs(path, g, _cache)
+
+    monkeypatch.setattr(graph_module, "path_pairs", counting)
+    g = make_graph({"a": ["A", "B"], "b": []}, [("a", "r", "b"), ("b", "s", "b")])
+    assert eval_query(union, g) == {("a",), ("b",)}
+    assert calls.count(shared) == 1
 
 
 # -- equivalence with the brute-force query oracle ----------------------------
@@ -259,6 +358,12 @@ _TEST_QUERIES = [
     ("q(x) :- r(x,y), s(y,z), r(z,x)", False),
     ("q(x,y) :- r(x,x), s(x,y)", False),
     ("q() :- r(x,y), s(y,x)", False),
+    # two components, the smallest relation not the first atom
+    ("q(x,z) :- r(x,y), A(z), s(y,w)", True),
+    # a nullary query whose data test removes every row
+    ("q() :- r(x,y), (w>5 & w<3)(x)", False),
+    # a self-loop joined with a larger relation
+    ("q(x,y) :- r(x,x), s*(x,y)", True),
 ]
 
 
