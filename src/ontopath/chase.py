@@ -6,17 +6,27 @@ right-hand sides spawn anonymous witness nodes (reused per node/axiom
 pair) up to a generation depth.  Certain answers are the query answers
 over the chased graph that touch only base nodes.
 
+Rounds run the axioms in order, each over its candidate nodes in sorted
+order, until a round adds nothing.  An axiom runs in a round only when a
+label or role it reads has gained a fact since its previous run began (a
+new node is a fact of `top`); otherwise the run could not fire.
 Existential axioms look up a node's role successors in a map per role name
 and direction, built from the graph the first time an axiom reads that
 role and extended with every edge the chase adds.  Atomic inclusions,
 conjunctions (from their rarest conjunct) and existential right-hand sides
 visit only the nodes that the graph's label index gives for their
-left-hand side; existential left-hand sides and role inclusions visit
-every node or pair.  Rounds run the axioms in order over the nodes in
-sorted order, so the indexes change how fast a trigger is found, not
-which triggers fire or how witnesses are named.
+left-hand side.  An existential left-hand side visits the role
+predecessors of its filler's nodes, smallest first from a heap; when its
+right-hand side is its filler, a node it labels pushes those of its own
+predecessors that sort after it, so a new label reaches larger
+predecessors in the same run and smaller ones in the next.  Role
+inclusions visit every pair of their sub-role.  Skipped runs and indexes
+change how fast a trigger is found, not which triggers fire or how
+witnesses are named.
 """
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .graph import PropertyGraph, eval_query
 from .tbox import (
@@ -61,6 +71,22 @@ def _add_role_edge(g, index, src, role: Role, dst) -> bool:
     return True
 
 
+def _reads(nf):
+    """The facts that can make `nf` fire, as keys: a label's name, `top`
+    for new nodes, ("role", name) for a role's edges in either direction."""
+    if isinstance(nf, AtomicInclusion):
+        return (nf.lhs,)
+    if isinstance(nf, ConjInclusion):
+        return nf.lhs
+    if isinstance(nf, ExistsLeft):
+        return (nf.filler, ("role", nf.role.name))
+    if isinstance(nf, RoleInclusion):
+        return (("role", nf.sub.name),)
+    if isinstance(nf, ExistsRight):
+        return (nf.lhs, nf.filler, ("role", nf.role.name))
+    raise TypeError(f"unexpected normal-form axiom {nf!r}")
+
+
 def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
     """Least fixpoint of the normal-form rules over a copy of g, to witness
     depth `depth`; nodes not in g are anonymous witnesses."""
@@ -68,17 +94,31 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
     out = g.copy()
     generation = {n: 0 for n in out.nodes}
     successors = {}  # (role name, inverted) -> {node: successor set}
+    reads = [_reads(nf) for nf in t.normalized]
+    # Facts the chase has added, per read key.  Tallies only grow, so an
+    # axiom whose reads sum to what they summed when its last run began
+    # has nothing new to read.
+    added = dict.fromkeys((key for keys in reads for key in keys), 0)
+    added_at_last_run = [-1] * len(reads)
+
+    def note(key):
+        added[key] = added.get(key, 0) + 1
 
     def ensure_label(node, name) -> bool:
         if name == TOP or name in out.labels[node]:
             return False
         out.add_label(node, name)
+        note(name)
         return True
 
     changed = True
     while changed:
         changed = False
         for axiom_index, nf in enumerate(t.normalized):
+            facts = sum(map(added.get, reads[axiom_index]))
+            if facts == added_at_last_run[axiom_index]:
+                continue
+            added_at_last_run[axiom_index] = facts
             if isinstance(nf, AtomicInclusion):
                 for node in sorted(out.nodes_with((nf.lhs,))):
                     if ensure_label(node, nf.rhs):
@@ -90,20 +130,30 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         if ensure_label(node, nf.rhs):
                             changed = True
             elif isinstance(nf, ExistsLeft):
-                for node in sorted(out.nodes):
-                    if out.has_label(node, nf.rhs):
-                        continue
-                    for succ in _matching_successors(out, successors, node, nf.role):
-                        if out.has_label(succ, nf.filler):
-                            ensure_label(node, nf.rhs)
-                            changed = True
-                            break
+                back = nf.role.inverse()
+                heap = list({
+                    node
+                    for filled in out.nodes_with((nf.filler,))
+                    for node in _matching_successors(out, successors, filled, back)
+                    if not out.has_label(node, nf.rhs)
+                })
+                heapify(heap)
+                while heap:
+                    node = heappop(heap)
+                    if not ensure_label(node, nf.rhs):
+                        continue  # pushed twice
+                    changed = True
+                    if nf.rhs == nf.filler:
+                        for pred in _matching_successors(out, successors, node, back):
+                            if pred > node and not out.has_label(pred, nf.rhs):
+                                heappush(heap, pred)
             elif isinstance(nf, RoleInclusion):
                 base_pairs = out.pairs(nf.sub.name)
                 pairs = ({(v, u) for (u, v) in base_pairs} if nf.sub.inverted
                          else set(base_pairs))
                 for u, v in sorted(pairs):
                     if _add_role_edge(out, successors, u, nf.sup, v):
+                        note(("role", nf.sup.name))
                         changed = True
             elif isinstance(nf, ExistsRight):
                 for node in sorted(out.nodes_with((nf.lhs,))):
@@ -117,20 +167,20 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         # A loaded node may squat on the reserved name.
                         witness += "'"
                     out.add_node(witness)
+                    note(TOP)
                     generation[witness] = generation[node] + 1
                     _add_role_edge(out, successors, node, nf.role, witness)
+                    note(("role", nf.role.name))
                     ensure_label(witness, nf.filler)
                     changed = True
-            else:
-                raise TypeError(f"unexpected normal-form axiom {nf!r}")
     return out
 
 
 def certain_answers(q, g: PropertyGraph, t: TBox, depth: int) -> set:
     """Answers over the chased graph restricted to base-node tuples."""
     chased = chase(g, t, depth)
-    return {
-        answer
-        for answer in eval_query(q, chased)
-        if all(node in g.nodes for node in answer)
-    }
+    answers = eval_query(q, chased)
+    anonymous = chased.nodes - g.nodes
+    if not anonymous:
+        return answers
+    return {answer for answer in answers if anonymous.isdisjoint(answer)}

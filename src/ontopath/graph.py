@@ -57,6 +57,8 @@ class PropertyGraph:
     indexes are kept next to `labels` and `edges`: the nodes carrying each
     label and the endpoint pairs of each edge label.  Change the graph
     only through `add_node`, `add_edge` and `add_label`, which keep them.
+    A copy shares the property maps of its original; `add_edge` replaces
+    a map rather than change it, so neither graph sees the other's edits.
     """
 
     def __init__(self):
@@ -84,12 +86,13 @@ class PropertyGraph:
         self.edges.add((src, label, dst))
         self._pairs_by_label.setdefault(label, set()).add((src, dst))
         if props:
-            stored = self.edge_props.setdefault((src, dst), {})
+            stored = self.edge_props.get((src, dst), _NO_PROPS)
             for key, value in props.items():
                 if key in stored and stored[key] != value:
                     raise GraphFormatError(
                         f"conflicting property {key!r} on parallel edges {src!r}->{dst!r}")
-                stored[key] = value
+            # A new map, never the stored one: copies share property maps.
+            self.edge_props[(src, dst)] = {**stored, **props}
 
     def add_label(self, node_id, label):
         self.labels[node_id].add(label)
@@ -124,9 +127,9 @@ class PropertyGraph:
     def copy(self) -> "PropertyGraph":
         out = PropertyGraph()
         out.labels = {n: set(ls) for n, ls in self.labels.items()}
-        out.node_props = {n: dict(ps) for n, ps in self.node_props.items()}
+        out.node_props = dict(self.node_props)
         out.edges = set(self.edges)
-        out.edge_props = {pair: dict(ps) for pair, ps in self.edge_props.items()}
+        out.edge_props = dict(self.edge_props)
         out._pairs_by_label = {l: set(ps) for l, ps in self._pairs_by_label.items()}
         out._nodes_by_label = {l: set(ns) for l, ns in self._nodes_by_label.items()}
         return out

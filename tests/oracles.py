@@ -2,14 +2,17 @@
 
 These deliberately avoid the production code paths they check: path
 evaluation is done by unrolling stars and matching walks pointwise, query
-answers by enumerating every assignment of the variables, and entailment
-by a structural chase that applies raw (unnormalized) axioms directly.
+answers by enumerating every assignment of the variables, entailment
+by a structural chase that applies raw (unnormalized) axioms directly, and
+the exact chased graph by a round-robin chase that runs every normal-form
+axiom in every round, with no skipping.
 """
 from __future__ import annotations
 
 import itertools
 import random
 
+from ontopath.chase import ANON_PREFIX
 from ontopath.graph import PropertyGraph, test_holds
 from ontopath.query import (
     ANY_NODE,
@@ -25,12 +28,20 @@ from ontopath.query import (
     union_path,
 )
 from ontopath.tbox import (
+    TOP,
     And,
+    AtomicInclusion,
     ConceptInclusion,
+    ConjInclusion,
     Exists,
+    ExistsLeft,
+    ExistsRight,
     Name,
+    Role,
     RoleInclusion,
+    TBox,
     Top,
+    normalize,
 )
 
 
@@ -204,6 +215,104 @@ def raw_certain_labels(g: PropertyGraph, axioms, depth=3):
     """For each base node, the concept labels entailed by the raw chase."""
     chased = raw_chase(g, axioms, depth)
     return {n: frozenset(chased.labels[n]) for n in g.nodes}
+
+
+# ---------------------------------------------------------------------------
+# Round-robin chase on normal forms
+
+
+def _matching_successors(g, index, node, role: Role):
+    """Nodes that `node` reaches over `role`; `index` maps (role name,
+    inverted) to {node: successors} and gains that role's map on first use."""
+    key = (role.name, role.inverted)
+    succ = index.get(key)
+    if succ is None:
+        succ = index[key] = {}
+        for u, v in g.pairs(role.name):
+            if role.inverted:
+                u, v = v, u
+            succ.setdefault(u, set()).add(v)
+    return succ.get(node, ())
+
+
+def _add_role_edge(g, index, src, role: Role, dst) -> bool:
+    if role.inverted:
+        src, dst = dst, src
+    if (src, role.name, dst) in g.edges:
+        return False
+    g.add_edge(src, role.name, dst)
+    for inverted, u, v in ((False, src, dst), (True, dst, src)):
+        succ = index.get((role.name, inverted))
+        if succ is not None:
+            succ.setdefault(u, set()).add(v)
+    return True
+
+
+def round_robin_chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
+    """The production chase's exact result, by plain rounds: every axiom in
+    order over every node (or pair) in sorted order, until a round adds
+    nothing.  Witness names match the production chase's, so the two
+    chased graphs must be equal, not merely entail the same labels."""
+    t = normalize(t)
+    out = g.copy()
+    generation = {n: 0 for n in out.nodes}
+    successors = {}  # (role name, inverted) -> {node: successor set}
+
+    def ensure_label(node, name) -> bool:
+        if name == TOP or name in out.labels[node]:
+            return False
+        out.add_label(node, name)
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for axiom_index, nf in enumerate(t.normalized):
+            if isinstance(nf, AtomicInclusion):
+                for node in sorted(out.nodes_with((nf.lhs,))):
+                    if ensure_label(node, nf.rhs):
+                        changed = True
+            elif isinstance(nf, ConjInclusion):
+                rarest = min((out.nodes_with((name,)) for name in nf.lhs), key=len)
+                for node in sorted(rarest):
+                    if all(out.has_label(node, name) for name in nf.lhs):
+                        if ensure_label(node, nf.rhs):
+                            changed = True
+            elif isinstance(nf, ExistsLeft):
+                for node in sorted(out.nodes):
+                    if out.has_label(node, nf.rhs):
+                        continue
+                    for succ in _matching_successors(out, successors, node, nf.role):
+                        if out.has_label(succ, nf.filler):
+                            ensure_label(node, nf.rhs)
+                            changed = True
+                            break
+            elif isinstance(nf, RoleInclusion):
+                base_pairs = out.pairs(nf.sub.name)
+                pairs = ({(v, u) for (u, v) in base_pairs} if nf.sub.inverted
+                         else set(base_pairs))
+                for u, v in sorted(pairs):
+                    if _add_role_edge(out, successors, u, nf.sup, v):
+                        changed = True
+            elif isinstance(nf, ExistsRight):
+                for node in sorted(out.nodes_with((nf.lhs,))):
+                    if any(out.has_label(s, nf.filler)
+                           for s in _matching_successors(out, successors, node, nf.role)):
+                        continue
+                    if generation[node] >= depth:
+                        continue
+                    witness = f"{ANON_PREFIX}{node}/{axiom_index}"
+                    while witness in out.labels:
+                        # A loaded node may squat on the reserved name.
+                        witness += "'"
+                    out.add_node(witness)
+                    generation[witness] = generation[node] + 1
+                    _add_role_edge(out, successors, node, nf.role, witness)
+                    ensure_label(witness, nf.filler)
+                    changed = True
+            else:
+                raise TypeError(f"unexpected normal-form axiom {nf!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import random
+import re
 
-from oracles import make_graph, random_graph, raw_certain_labels
+import pytest
+from oracles import make_graph, random_graph, raw_certain_labels, round_robin_chase
 
 from ontopath.chase import chase, certain_answers
+from ontopath.graph import graph_to_jsonl
 from ontopath.query import parse_query
 from ontopath.tbox import as_axiom, normalize, parse_tbox
 
@@ -85,6 +88,19 @@ def test_empty_tbox_is_plain_evaluation():
     assert certain_answers(q, g, TBox(()), depth=2) == eval_query(q, g)
 
 
+def test_base_node_on_the_witness_prefix_stays_a_certain_answer():
+    g = make_graph({"a": ["Teacher"], "_:a/0": ["Student"]})
+    t = parse_tbox("Teacher <= exists teaches . Student")
+    q = parse_query("q(x) :- Student(x)")
+    assert certain_answers(q, g, t, depth=1) == {("_:a/0",)}
+
+
+def test_nullary_query_without_witnesses_answers_the_empty_tuple():
+    g = make_graph({"a": ["A"]})
+    q = parse_query("q() :- B(y)")
+    assert certain_answers(q, g, parse_tbox("A <= B"), depth=1) == {()}
+
+
 def test_boolean_query_may_use_witnesses():
     g = make_graph({"a": ["Teacher"]})
     t = parse_tbox("Teacher <= exists teaches . Student")
@@ -107,6 +123,13 @@ _TBOX_CORPUS = [
     "exists s . A <= B\ninv(r) <= s",
     # an existential right-hand side on every node, read through the label index
     "top <= exists r . B",
+    # an existential left-hand side whose right-hand side is its filler, over
+    # an inverse role, feeding an existential right-hand side
+    "exists inv(r) . B <= B\ntop <= exists s . B",
+    # an existential left-hand side whose filler is top, fed by new witnesses
+    "exists r . top <= B\nB <= exists inv(r) . A",
+    # later axioms write what earlier ones read: a label, and new nodes
+    "top <= D\nB <= exists r . C\nA <= B",
 ]
 
 
@@ -129,6 +152,38 @@ def test_chase_matches_raw_structural_chase():
             for node in g.nodes:
                 mine = {l for l in chased.labels[node] if not l.startswith("__nf")}
                 assert mine == set(raw[node]), (text, node)
+
+
+def test_chase_matches_round_robin_chase():
+    """The chase builds exactly the round-robin oracle's graph, witness
+    names included, at every depth, on random graphs over each TBox's own
+    names."""
+    rng = random.Random(7)
+    for text in _TBOX_CORPUS:
+        t = normalize(parse_tbox(text))
+        labels = sorted(set(re.findall(r"\b[A-Z]\w*", text)))
+        roles = sorted(set(re.findall(r"\b[a-z]\w*", text)) - {"exists", "inv", "top"})
+        for _ in range(60):
+            g = random_graph(rng, max_nodes=7, roles=roles, labels=labels, edge_prob=0.25)
+            for depth in range(4):
+                expected = graph_to_jsonl(round_robin_chase(g, t, depth))
+                assert graph_to_jsonl(chase(g, t, depth)) == expected, (text, depth)
+
+
+_ORDER_GRAPH = ({"a": [], "b": [], "c": ["B"], "x": ["C"]},
+                [("a", "r", "b"), ("b", "r", "c"), ("x", "s", "a")])
+
+
+@pytest.mark.parametrize("text, witness", [
+    # b gains B before the existential right-hand side runs, a only in the
+    # next round: x finds no s-successor with B yet and makes witness 1.
+    ("exists r . B <= B\nC <= exists s . B", "_:x/1"),
+    ("C <= exists s . B\nexists r . B <= B", "_:x/0"),
+])
+def test_existential_left_hand_side_reaches_smaller_nodes_next_round(text, witness):
+    chased = chase(make_graph(*_ORDER_GRAPH), parse_tbox(text), depth=3)
+    assert set(chased.nodes) - {"a", "b", "c", "x"} == {witness}
+    assert chased.has_label("a", "B")
 
 
 def test_normalization_is_conservative():

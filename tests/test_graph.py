@@ -180,6 +180,19 @@ def test_label_index_follows_add_node_add_label_and_copy():
     _index_agrees_with_labels(g)
 
 
+@pytest.mark.parametrize("writer", ["original", "copy"])
+def test_edge_props_added_after_copy_stay_in_their_graph(writer):
+    g = make_graph({"a": [], "b": []}, [("a", "r", "b")],
+                   node_props={"a": {"k": 1}}, edge_props={("a", "b"): {"w": 2}})
+    copied = g.copy()
+    written, other = (g, copied) if writer == "original" else (copied, g)
+    written.add_edge("a", "s", "b", {"since": 1999})
+    written.add_edge("b", "r", "a", {"w": 3})
+    assert written.edge_props == {("a", "b"): {"w": 2, "since": 1999}, ("b", "a"): {"w": 3}}
+    assert other.edge_props == {("a", "b"): {"w": 2}}
+    assert other.node_props == written.node_props == {"a": {"k": 1}, "b": {}}
+
+
 def test_nodes_with_top_is_every_node():
     g = make_graph({"a": ["A"], "b": []})
     assert set(g.nodes_with({TOP})) == {"a", "b"}
