@@ -1,29 +1,38 @@
 """In-memory property graphs and walk-based evaluation of path queries.
 
 Evaluation follows set semantics over mappings: a path expression denotes a
-binary relation over nodes, node tests denote self-pairs, the Kleene star is
-computed as a reachability fixpoint (identity pairs plus transitive closure
-of the inner relation).  Concept atoms and node tests read the graph's
-label index instead of scanning every node.
+binary relation over nodes, and node tests denote self-pairs.  Concept
+atoms and node tests read the graph's label index instead of scanning
+every node, and a plain edge step's pairs are the graph's own edge index.
+Data tests are compiled once per test into a predicate over a property
+map.
 
 Query answers are projections of the natural join of the concept and role
 atom relations.  A relation is a tuple of variables plus rows that are
-plain tuples of nodes, in that variable order; a role atom's rows are its
-path's pairs as they are.  Every relation is computed before any join, so
-an empty one ends evaluation at once.  The joins start from the smallest
-relation and then take, each time, the smallest relation that shares a
-variable with the rows so far, as a hash join on the shared variables (the
-smallest of all, as a cross product, only when none shares one).  Data
-tests come last and keep the rows whose bound node, or bound endpoint
-pair, satisfies them.  The branches of a union share one cache of path
-relations.
+plain tuples of nodes, in that variable order.  A role atom's rows are its
+path's pairs, with the Kleene star built as identity pairs plus the
+transitive closure of the inner relation, except when one endpoint
+dangles: it is no answer variable and occurs in no other atom, data tests
+included.  Such an atom (with a path other than an edge step) is a unary
+relation over its other endpoint, computed a node set at a time from the
+dangling end: a concatenation runs from that end, and a star is a
+breadth-first search that adds only new nodes (Mendelzon & Wood, SIAM J.
+Comput. 1995).  Every concept and role relation is computed before any
+join, so an empty one ends evaluation at once.  The joins start from the
+smallest relation and then take, each time, the smallest relation that
+shares a variable with the rows so far, as a hash join on the shared
+variables (the smallest of all, as a cross product, only when none shares
+one).  Data tests come last and keep the rows whose bound node, or bound
+endpoint pair, satisfies them.  The branches of a union share one memo
+table of path relations, dangling atoms' node sets and edge maps.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from operator import itemgetter
+from itertools import chain
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from .errors import GraphFormatError
 from .query import (
@@ -261,42 +270,53 @@ def graph_to_jsonl(g: PropertyGraph) -> str:
 # ---------------------------------------------------------------------------
 # Data tests
 
+_COMPARISONS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
-def compare_values(op, stored, literal) -> bool:
-    """Comparison per the evaluation table; absent or mistyped orderings fail."""
-    if stored is None:
-        return False
-    if op == "=":
-        return stored == literal
-    if op == "!=":
-        return stored != literal
-    if isinstance(stored, bool) or not isinstance(stored, (int, float)):
-        return False
-    if not isinstance(literal, (int, float)):
-        return False
-    return {"<": stored < literal, "<=": stored <= literal,
-            ">": stored > literal, ">=": stored >= literal}[op]
+
+def compile_test(test):
+    """A predicate over one node's or one edge's property map that tells
+    whether a data test holds there.  A comparison with an absent property
+    fails, and an ordering holds only between numbers (not booleans)."""
+    if isinstance(test, DataTest):
+        key, literal, compare = test.key, test.value, _COMPARISONS[test.op]
+        if test.op in ("=", "!="):
+            def holds(props):
+                stored = props.get(key)
+                return stored is not None and compare(stored, literal)
+        elif not isinstance(literal, (int, float)):
+            def holds(props):
+                return False
+        else:
+            def holds(props):
+                stored = props.get(key)
+                return (isinstance(stored, (int, float)) and not isinstance(stored, bool)
+                        and compare(stored, literal))
+        return holds
+    if isinstance(test, TestAnd):
+        left, right = compile_test(test.left), compile_test(test.right)
+        return lambda props: left(props) and right(props)
+    if isinstance(test, TestOr):
+        left, right = compile_test(test.left), compile_test(test.right)
+        return lambda props: left(props) or right(props)
+    if isinstance(test, TestNot):
+        inner = compile_test(test.inner)
+        return lambda props: not inner(props)
+    raise TypeError(f"not a test expression: {test!r}")
 
 
 def test_holds(test, props) -> bool:
     """Whether a data test holds on one node's or one edge's properties."""
-    if isinstance(test, DataTest):
-        return compare_values(test.op, props.get(test.key), test.value)
-    if isinstance(test, TestAnd):
-        return test_holds(test.left, props) and test_holds(test.right, props)
-    if isinstance(test, TestOr):
-        return test_holds(test.left, props) or test_holds(test.right, props)
-    if isinstance(test, TestNot):
-        return not test_holds(test.inner, props)
-    raise TypeError(f"not a test expression: {test!r}")
+    return compile_test(test)(props)
 
 
 # ---------------------------------------------------------------------------
 # Path evaluation
 
 
-def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
-    """The binary relation a path expression denotes over g's nodes."""
+def path_pairs(path, g: PropertyGraph, _cache=None):
+    """The binary relation a path expression denotes over g's nodes, as a
+    set of node pairs.  The result may be the graph's own edge index or a
+    cached value: read it, do not change it."""
     if _cache is None:
         _cache = {}
     hit = _cache.get(path)
@@ -304,18 +324,17 @@ def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
         return hit
     if isinstance(path, EdgeStep):
         pairs = g.pairs(path.role.name)
-        result = frozenset((v, u) for u, v in pairs) if path.role.inverted else frozenset(pairs)
+        result = frozenset((v, u) for u, v in pairs) if path.role.inverted else pairs
     elif isinstance(path, NodeTest):
         result = frozenset((n, n) for n in g.nodes_with(path.labels))
     elif isinstance(path, PropTest):
+        holds = compile_test(path.test)
         if path.on_edge:
             result = frozenset(
                 (u, v) for u in g.nodes for v in g.nodes
-                if test_holds(path.test, g.edge_props.get(
-                    (v, u) if path.flipped else (u, v), _NO_PROPS)))
+                if holds(g.edge_props.get((v, u) if path.flipped else (u, v), _NO_PROPS)))
         else:
-            result = frozenset(
-                (n, n) for n in g.nodes if test_holds(path.test, g.node_props[n]))
+            result = frozenset((n, n) for n in g.nodes if holds(g.node_props[n]))
     elif isinstance(path, Concat):
         result = path_pairs(path.parts[0], g, _cache)
         for part in path.parts[1:]:
@@ -349,6 +368,57 @@ def path_pairs(path, g: PropertyGraph, _cache=None) -> frozenset:
     return result
 
 
+def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
+    """The nodes that start a walk matching `path` and ending in `ends`, or,
+    when `forward`, that end such a walk starting in `ends`; `ends` None
+    stands for every node.  Evaluated a set of nodes at a time; `cache` is
+    `eval_query`'s memo table, where each edge step's map from a node to
+    the nodes one edge away is kept under (role name, end taken)."""
+    if isinstance(path, EdgeStep):
+        # Position, in the role's stored (src, dst) pairs, of the end we return.
+        far = int(path.role.inverted != forward)
+        if ends is None:
+            return {pair[far] for pair in g.pairs(path.role.name)}
+        step = cache.get((path.role.name, far))
+        if step is None:
+            step = cache[(path.role.name, far)] = {}
+            for pair in g.pairs(path.role.name):
+                step.setdefault(pair[1 - far], []).append(pair[far])
+        out = set()
+        for node in ends:
+            out.update(step.get(node, ()))
+        return out
+    if isinstance(path, NodeTest):
+        nodes = g.nodes_with(path.labels)
+        return set(nodes) if ends is None else ends.intersection(nodes)
+    if isinstance(path, PropTest):
+        if path.on_edge:
+            near, far = (0, 1) if forward else (1, 0)
+            return {pair[far] for pair in path_pairs(path, g, cache)
+                    if ends is None or pair[near] in ends}
+        holds = compile_test(path.test)
+        return {n for n in (g.nodes if ends is None else ends) if holds(g.node_props[n])}
+    if isinstance(path, Concat):
+        for part in (path.parts if forward else reversed(path.parts)):
+            ends = _walk_ends(part, g, ends, forward, cache)
+            if not ends:
+                break
+        return ends
+    if isinstance(path, UnionPath):
+        return set().union(*(_walk_ends(branch, g, ends, forward, cache)
+                             for branch in path.branches))
+    if isinstance(path, Star):
+        if ends is None:
+            return set(g.nodes)  # the zero-length walk
+        reached = set(ends)
+        frontier = reached
+        while frontier:
+            frontier = _walk_ends(path.inner, g, frontier, forward, cache) - reached
+            reached |= frontier
+        return reached
+    raise TypeError(f"not a path expression: {path!r}")
+
+
 def eval_path(path, x: str, y: str, g: PropertyGraph) -> set:
     """Mappings {x, y} -> nodes matched by the path (x == y forces loops)."""
     pairs = path_pairs(path, g)
@@ -373,6 +443,25 @@ def _relation(atom, g: PropertyGraph, cache):
             return (atom.src,), [(u,) for u, v in pairs if u == v]
         return (atom.src, atom.dst), pairs
     raise TypeError(f"not an atom: {atom!r}")
+
+
+def _dangling_relation(atom, g: PropertyGraph, cache, seen):
+    """(variables, rows) of a role atom with two distinct endpoints when one
+    of them dangles, else None.  `seen` lists every variable occurrence in
+    the head and in the atoms, data tests included: an endpoint listed once
+    is no answer variable and occurs in no other atom, so the rows are just
+    the nodes at the atom's other end."""
+    if seen.count(atom.dst) == 1:
+        forward, kept = False, atom.src
+    elif seen.count(atom.src) == 1:
+        forward, kept = True, atom.dst
+    else:
+        return None
+    key = (atom.path, forward)
+    rows = cache.get(key)
+    if rows is None:
+        rows = cache[key] = [(n,) for n in _walk_ends(atom.path, g, None, forward, cache)]
+    return (kept,), rows
 
 
 def _hash_join(variables, rows, relation):
@@ -400,15 +489,25 @@ def _hash_join(variables, rows, relation):
 
 
 def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
-    """Answer tuples of one C2RPQ; `cache` maps paths to their pairs."""
+    """Answer tuples of one C2RPQ; `cache` is `eval_query`'s memo table."""
     tests = [atom for atom in q.atoms if isinstance(atom, TestAtom)]
     atoms = [atom for atom in q.atoms if not isinstance(atom, TestAtom)]
     unbound = {v for atom in tests for v in atom.vars}.difference(*map(atom_vars, atoms))
     if unbound:
         raise ValueError(f"variables occur only in data tests: {', '.join(sorted(unbound))}")
+    seen = None  # variable occurrences, listed at the first composite path
     relations = []
     for atom in atoms:
-        relation = _relation(atom, g, cache)
+        relation = None
+        # Only a composite path's endpoints may dangle: an edge step's pairs
+        # are the graph's own index, so looking would cost more than it saves.
+        if (isinstance(atom, RoleAtom) and atom.src != atom.dst
+                and not isinstance(atom.path, EdgeStep)):
+            if seen is None:
+                seen = [*q.answer_vars, *chain.from_iterable(map(atom_vars, q.atoms))]
+            relation = _dangling_relation(atom, g, cache, seen)
+        if relation is None:
+            relation = _relation(atom, g, cache)
         if not relation[1]:
             return set()
         relations.append(relation)
@@ -424,12 +523,11 @@ def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
             return set()
     for atom in tests:
         ends = itemgetter(*(variables.index(v) for v in atom.vars))
+        holds = compile_test(atom.test)
         if len(atom.vars) == 1:
-            rows = [row for row in rows
-                    if test_holds(atom.test, g.node_props[ends(row)])]
+            rows = [row for row in rows if holds(g.node_props[ends(row)])]
         else:
-            rows = [row for row in rows
-                    if test_holds(atom.test, g.edge_props.get(ends(row), _NO_PROPS))]
+            rows = [row for row in rows if holds(g.edge_props.get(ends(row), _NO_PROPS))]
     if not q.answer_vars:
         return {()} if rows else set()
     if len(q.answer_vars) == 1:
@@ -443,7 +541,9 @@ def eval_query(q, g: PropertyGraph) -> set:
 
     Raises ValueError when a data-test variable occurs in no other atom.
     """
-    cache = {}  # path -> pairs, shared by the branches of a union
+    # One memo table, shared by the branches of a union: path -> pairs, and,
+    # under tuple keys, dangling atoms' rows and `_walk_ends`'s edge maps.
+    cache = {}
     if isinstance(q, UC2RPQ):
         out = set()
         for branch in q.branches:

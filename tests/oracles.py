@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
-These deliberately avoid the production code paths they check: path
-evaluation is done by unrolling stars and matching walks pointwise, query
-answers by enumerating every assignment of the variables, entailment
+These deliberately avoid the production code paths they check: data tests
+are interpreted directly over a property map, path evaluation is done by
+unrolling stars and matching walks pointwise, query answers by enumerating
+every assignment of the variables, entailment
 by a structural chase that applies raw (unnormalized) axioms directly, and
 the exact chased graph by a round-robin chase that runs every normal-form
 axiom in every round, with no skipping.
@@ -13,16 +14,20 @@ import itertools
 import random
 
 from ontopath.chase import ANON_PREFIX
-from ontopath.graph import PropertyGraph, test_holds
+from ontopath.graph import PropertyGraph
 from ontopath.query import (
     ANY_NODE,
     Concat,
     ConceptAtom,
+    DataTest,
     EdgeStep,
     NodeTest,
     PropTest,
     RoleAtom,
     Star,
+    TestAnd,
+    TestNot,
+    TestOr,
     UnionPath,
     concat_path,
     union_path,
@@ -53,6 +58,39 @@ def make_graph(nodes, edges=(), node_props=None, edge_props=None) -> PropertyGra
     for src, label, dst in edges:
         g.add_edge(src, label, dst, (edge_props or {}).get((src, dst)))
     return g
+
+
+# ---------------------------------------------------------------------------
+# Data-test interpreter
+
+
+def compare_values(op, stored, literal) -> bool:
+    """Comparison per the evaluation table; absent or mistyped orderings fail."""
+    if stored is None:
+        return False
+    if op == "=":
+        return stored == literal
+    if op == "!=":
+        return stored != literal
+    if isinstance(stored, bool) or not isinstance(stored, (int, float)):
+        return False
+    if not isinstance(literal, (int, float)):
+        return False
+    return {"<": stored < literal, "<=": stored <= literal,
+            ">": stored > literal, ">=": stored >= literal}[op]
+
+
+def test_holds(test, props) -> bool:
+    """Whether a data test holds on one node's or one edge's properties."""
+    if isinstance(test, DataTest):
+        return compare_values(test.op, props.get(test.key), test.value)
+    if isinstance(test, TestAnd):
+        return test_holds(test.left, props) and test_holds(test.right, props)
+    if isinstance(test, TestOr):
+        return test_holds(test.left, props) or test_holds(test.right, props)
+    if isinstance(test, TestNot):
+        return not test_holds(test.inner, props)
+    raise TypeError(f"not a test expression: {test!r}")
 
 
 # ---------------------------------------------------------------------------

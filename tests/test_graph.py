@@ -311,6 +311,8 @@ def _shared_path_union():
         f"q(x) :- {shared}, A(y)",
         f"q(x) :- {shared}, B(x)",
         "q(x) :- s(x,x)",
+        # y dangles in the second branch only, which reads no pairs.
+        f"q(x) :- {shared}, B(y)",
     ))
     return branches[0].atoms, UC2RPQ(("x",), branches)
 
@@ -337,6 +339,19 @@ def test_union_branches_share_one_path_cache(monkeypatch):
     g = make_graph({"a": ["A", "B"], "b": []}, [("a", "r", "b"), ("b", "s", "b")])
     assert eval_query(union, g) == {("a",), ("b",)}
     assert calls.count(shared) == 1
+
+
+def test_evaluation_leaves_the_graph_indexes_unchanged():
+    g = make_graph({"a": ["A"], "b": []}, [("a", "r", "b"), ("b", "r", "a")])
+    edges, pairs, labelled = set(g.edges), set(g.pairs("r")), set(g.nodes_with({"A"}))
+    assert path_pairs(EdgeStep(Role("r")), g) == pairs
+    for text in ("q(x,y) :- r(x,y)", "q(y,x) :- r(x,y)", "q(x) :- r(x,y), A(x)",
+                 "q(x) :- (r.<A>)(x,w)", "q(x) :- (r*.<A>)(w,x)", "q() :- r(x,y)"):
+        answers = eval_query(parse_query(text, extended=True), g)
+        assert answers
+        answers.clear()
+        answers.add(("z", "z"))
+    assert (g.edges, g.pairs("r"), set(g.nodes_with({"A"}))) == (edges, pairs, labelled)
 
 
 # -- equivalence with the brute-force query oracle ----------------------------
@@ -377,6 +392,18 @@ _TEST_QUERIES = [
     ("q() :- r(x,y), (w>5 & w<3)(x)", False),
     # a self-loop joined with a larger relation
     ("q(x,y) :- r(x,x), s*(x,y)", True),
+    # dangling endpoints: a star, a concatenation with a node test, a union
+    # with an inverse edge (source end dangling)
+    ("q(x) :- s*(x,w), A(x)", True),
+    ("q(x) :- (r.s*.<A>)(x,w)", True),
+    ("q(y) :- (inv(r)|s.<B>)(w,y)", True),
+    # endpoints that would dangle but occur in a data test or a concept atom
+    ("q(x) :- (r.s*)(x,z), w>10(z)", True),
+    ("q(x) :- (r.s*)(x,z), w>15(x,z)", True),
+    ("q(x) :- (r*.<A>)(x,z), B(z)", True),
+    # a self-loop, and a nullary query whose atom dangles at both ends
+    ("q(x) :- (r.s*)(x,x)", True),
+    ("q() :- (r.s*.<B>)(x,y)", True),
 ]
 
 

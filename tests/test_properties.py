@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_graph, walk_pairs
+from oracles import test_holds as reference_test_holds
 
 from ontopath.chase import certain_answers
-from ontopath.graph import eval_query, path_pairs
+from ontopath.graph import compile_test, eval_query, path_pairs
 from ontopath.query import (
     ANY_NODE,
     C2RPQ,
+    COMPARISON_OPS,
     Concat,
     DataTest,
     EdgeStep,
@@ -18,7 +20,9 @@ from ontopath.query import (
     PropTest,
     RoleAtom,
     Star,
+    TestAnd,
     TestNot,
+    TestOr,
     UnionPath,
     canon_path,
     concat_path,
@@ -137,6 +141,41 @@ _paths_with_tests = st.recursive(
 def test_engine_matches_walk_oracle_with_data_tests_in_paths(path, seed):
     g = random_graph(random.Random(seed), max_nodes=4, prop_keys=("k0", "k1"))
     assert path_pairs(path, g) == walk_pairs(path, g, unroll=len(g.labels))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_paths_with_tests, st.integers(0, 2**31 - 1))
+def test_dangling_atoms_give_the_projection_of_the_walk_oracle(path, seed):
+    # An endpoint that is no answer variable and occurs in no other atom
+    # is evaluated as a node set; it must still be the pairs' projection.
+    g = random_graph(random.Random(seed), max_nodes=4, prop_keys=("k0", "k1"))
+    pairs = walk_pairs(path, g, unroll=len(g.labels))
+    sources = C2RPQ(("x",), frozenset({RoleAtom(path, "x", "w")}))
+    targets = C2RPQ(("y",), frozenset({RoleAtom(path, "w", "y")}))
+    assert eval_query(sources, g) == {(u,) for u, _ in pairs}
+    assert eval_query(targets, g) == {(v,) for _, v in pairs}
+
+
+_values = st.one_of(st.booleans(), st.text("ab1", max_size=2),
+                    st.integers(-3, 3), st.floats(-3, 3))
+_numbers = st.one_of(st.booleans(), st.integers(-3, 3), st.floats(-3, 3))
+_data_tests = st.sampled_from(sorted(COMPARISON_OPS)).flatmap(
+    lambda op: st.builds(DataTest, st.sampled_from(["a", "b", "c"]), st.just(op),
+                         _values if op in ("=", "!=") else _numbers))
+_test_expressions = st.recursive(
+    _data_tests,
+    lambda inner: st.one_of(st.builds(TestNot, inner),
+                            st.builds(TestAnd, inner, inner),
+                            st.builds(TestOr, inner, inner)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_test_expressions, st.dictionaries(st.sampled_from(["a", "b"]), _values))
+def test_compiled_data_tests_match_the_reference_interpreter(test, props):
+    # Key "c" is never present, and "a"/"b" only sometimes.
+    assert compile_test(test)(props) == reference_test_holds(test, props)
 
 
 _QUERY_SHAPES = [
