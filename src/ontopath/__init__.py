@@ -27,7 +27,6 @@ from .errors import (
 )
 from .graph import (
     PropertyGraph,
-    eval_path,
     eval_query,
     graph_to_jsonl,
     load_graph,
@@ -80,7 +79,6 @@ __all__ = [
     "contains_structurally",
     "dump_dependency_graph",
     "emit_cypher",
-    "eval_path",
     "eval_query",
     "graph_to_jsonl",
     "load_graph",

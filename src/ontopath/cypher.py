@@ -21,7 +21,6 @@ from .query import (
     DataTest,
     EdgeStep,
     NodeTest,
-    PropTest,
     RoleAtom,
     Star,
     TestAnd,
@@ -129,7 +128,7 @@ def _distribute_query(q: C2RPQ):
 
 
 def _units(path):
-    """Chain units: ('rel', roles, inverted, star) or ('test', unit)."""
+    """Chain units: ('rel', roles, inverted, star) or ('test', node test)."""
     parts = path.parts if isinstance(path, Concat) else (path,)
     units = []
     for part in parts:
@@ -143,12 +142,6 @@ def _units(path):
             roles, inverted = packed
             units.append(("rel", list(roles), inverted, True))
         elif isinstance(part, NodeTest):
-            units.append(("test", part))
-        elif isinstance(part, PropTest):
-            if part.on_edge:
-                raise UnsupportedPathError(
-                    "edge data tests are only emittable as atoms next to a "
-                    f"plain edge, not inside paths: {path_to_str(part)}")
             units.append(("test", part))
         elif isinstance(part, UnionPath):
             packed = _edge_union_roles(part)
@@ -235,10 +228,6 @@ def _emit_branch(q: C2RPQ, diagnostics: list) -> str:
                 tests_at.append((positions[index], unit[1]))
         chains.append((rels, tests_at))
 
-    # Dissolve trailing/leading test positions: tests sit on real positions
-    # already; only positions that carry no relationship need aliasing, which
-    # happens exactly when a chain has no rel units (handled above).
-
     conditions = []
     patterns = []
     in_pattern = set()
@@ -272,12 +261,9 @@ def _emit_branch(q: C2RPQ, diagnostics: list) -> str:
                     edge_test_hosts[base] = rel_var
             patterns.append(format_rel(src, unit, dst, rel_var))
         for position, test in tests_at:
-            var = aliases.find(position)
-            if isinstance(test, NodeTest):
-                if TOP not in test.labels:
-                    conditions.append(_label_condition(_ident(var), test.labels))
-            else:
-                conditions.append(_test_condition(test.test, _ident(var)))
+            if TOP not in test.labels:
+                var = aliases.find(position)
+                conditions.append(_label_condition(_ident(var), test.labels))
 
     for atom in other_atoms:
         if isinstance(atom, ConceptAtom):

@@ -7,24 +7,28 @@ every node, and a plain edge step's pairs are the graph's own edge index.
 Data tests are compiled once per test into a predicate over a property
 map.
 
+One walker, `_walk_ends`, evaluates every path form a node set at a time:
+a concatenation runs from one end, and a star is a breadth-first search
+that adds only new nodes (Mendelzon & Wood, SIAM J. Comput. 1995).  A
+union's pairs are its branches' pairs; any other composite path's pairs
+link each node that starts a walk to the ends of the walks forward from
+it.
+
 Query answers are projections of the natural join of the concept and role
 atom relations.  A relation is a tuple of variables plus rows that are
 plain tuples of nodes, in that variable order.  A role atom's rows are its
-path's pairs, with the Kleene star built as identity pairs plus the
-transitive closure of the inner relation, except when one endpoint
-dangles: it is no answer variable and occurs in no other atom, data tests
-included.  Such an atom (with a path other than an edge step) is a unary
-relation over its other endpoint, computed a node set at a time from the
-dangling end: a concatenation runs from that end, and a star is a
-breadth-first search that adds only new nodes (Mendelzon & Wood, SIAM J.
-Comput. 1995).  Every concept and role relation is computed before any
-join, so an empty one ends evaluation at once.  The joins start from the
-smallest relation and then take, each time, the smallest relation that
-shares a variable with the rows so far, as a hash join on the shared
-variables (the smallest of all, as a cross product, only when none shares
-one).  Data tests come last and keep the rows whose bound node, or bound
-endpoint pair, satisfies them.  The branches of a union share one memo
-table of path relations, dangling atoms' node sets and edge maps.
+path's pairs, except when one endpoint dangles: it is no answer variable
+and occurs in no other atom, data tests included.  Such an atom (with a
+path other than an edge step) is a unary relation over its other
+endpoint, the walker's node set from the dangling end.  Every concept and
+role relation is computed before any join, so an empty one ends
+evaluation at once.  The joins start from the smallest relation and then
+take, each time, the smallest relation that shares a variable with the
+rows so far, as a hash join on the shared variables (the smallest of all,
+as a cross product, only when none shares one).  Data tests come last
+and keep the rows whose bound node, or bound endpoint pair, satisfies
+them.  The branches of a union share one memo table of path relations,
+dangling atoms' node sets and edge maps.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ from .query import (
     DataTest,
     EdgeStep,
     NodeTest,
-    PropTest,
     RoleAtom,
     Star,
     TestAnd,
@@ -304,19 +307,17 @@ def compile_test(test):
     raise TypeError(f"not a test expression: {test!r}")
 
 
-def test_holds(test, props) -> bool:
-    """Whether a data test holds on one node's or one edge's properties."""
-    return compile_test(test)(props)
-
-
 # ---------------------------------------------------------------------------
 # Path evaluation
 
 
 def path_pairs(path, g: PropertyGraph, _cache=None):
     """The binary relation a path expression denotes over g's nodes, as a
-    set of node pairs.  The result may be the graph's own edge index or a
-    cached value: read it, do not change it."""
+    set of node pairs.  An edge step's pairs are the graph's own edge
+    index, and a union's are its branches'; any other path's pairs come
+    from `_walk_ends`, walking forward from each node that starts a walk.
+    The result may be the graph's index or a cached value: read it, do not
+    change it."""
     if _cache is None:
         _cache = {}
     hit = _cache.get(path)
@@ -325,45 +326,11 @@ def path_pairs(path, g: PropertyGraph, _cache=None):
     if isinstance(path, EdgeStep):
         pairs = g.pairs(path.role.name)
         result = frozenset((v, u) for u, v in pairs) if path.role.inverted else pairs
-    elif isinstance(path, NodeTest):
-        result = frozenset((n, n) for n in g.nodes_with(path.labels))
-    elif isinstance(path, PropTest):
-        holds = compile_test(path.test)
-        if path.on_edge:
-            result = frozenset(
-                (u, v) for u in g.nodes for v in g.nodes
-                if holds(g.edge_props.get((v, u) if path.flipped else (u, v), _NO_PROPS)))
-        else:
-            result = frozenset((n, n) for n in g.nodes if holds(g.node_props[n]))
-    elif isinstance(path, Concat):
-        result = path_pairs(path.parts[0], g, _cache)
-        for part in path.parts[1:]:
-            step = path_pairs(part, g, _cache)
-            by_src = {}
-            for u, v in step:
-                by_src.setdefault(u, []).append(v)
-            result = frozenset(
-                (u, w) for u, v in result for w in by_src.get(v, ()))
     elif isinstance(path, UnionPath):
         result = frozenset().union(*(path_pairs(b, g, _cache) for b in path.branches))
-    elif isinstance(path, Star):
-        base = path_pairs(path.inner, g, _cache)
-        succ = {}
-        for u, v in base:
-            succ.setdefault(u, set()).add(v)
-        closure = {(n, n) for n in g.nodes}
-        frontier = {(n, n) for n in g.nodes}
-        while frontier:
-            new = set()
-            for u, v in frontier:
-                for w in succ.get(v, ()):
-                    if (u, w) not in closure:
-                        closure.add((u, w))
-                        new.add((u, w))
-            frontier = new
-        result = frozenset(closure)
     else:
-        raise TypeError(f"not a path expression: {path!r}")
+        result = frozenset((u, v) for u in _walk_ends(path, g, None, False, _cache)
+                           for v in _walk_ends(path, g, {u}, True, _cache))
     _cache[path] = result
     return result
 
@@ -372,7 +339,7 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
     """The nodes that start a walk matching `path` and ending in `ends`, or,
     when `forward`, that end such a walk starting in `ends`; `ends` None
     stands for every node.  Evaluated a set of nodes at a time; `cache` is
-    `eval_query`'s memo table, where each edge step's map from a node to
+    the caller's memo table, where each edge step's map from a node to
     the nodes one edge away is kept under (role name, end taken)."""
     if isinstance(path, EdgeStep):
         # Position, in the role's stored (src, dst) pairs, of the end we return.
@@ -391,13 +358,6 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
     if isinstance(path, NodeTest):
         nodes = g.nodes_with(path.labels)
         return set(nodes) if ends is None else ends.intersection(nodes)
-    if isinstance(path, PropTest):
-        if path.on_edge:
-            near, far = (0, 1) if forward else (1, 0)
-            return {pair[far] for pair in path_pairs(path, g, cache)
-                    if ends is None or pair[near] in ends}
-        holds = compile_test(path.test)
-        return {n for n in (g.nodes if ends is None else ends) if holds(g.node_props[n])}
     if isinstance(path, Concat):
         for part in (path.parts if forward else reversed(path.parts)):
             ends = _walk_ends(part, g, ends, forward, cache)
@@ -417,14 +377,6 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
             reached |= frontier
         return reached
     raise TypeError(f"not a path expression: {path!r}")
-
-
-def eval_path(path, x: str, y: str, g: PropertyGraph) -> set:
-    """Mappings {x, y} -> nodes matched by the path (x == y forces loops)."""
-    pairs = path_pairs(path, g)
-    if x == y:
-        return {((x, u),) for u, v in pairs if u == v}
-    return {((x, u), (y, v)) for u, v in pairs}
 
 
 # ---------------------------------------------------------------------------

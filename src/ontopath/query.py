@@ -99,11 +99,14 @@ class Star(PathExpr):
 
 @dataclass(frozen=True)
 class PropTest(PathExpr):
-    """A data test used as a path element.
-
-    Node-arity tests behave like a filtered zero-length step; edge-arity
-    tests relate the endpoint pair through the pair's property map
+    """A data test as a path element: on a node, a filtered zero-length
+    step; on an edge, the endpoint pair whose property map passes the test
     (`flipped` looks the pair up in reverse orientation).
+
+    No parser or rewriter builds one, and the evaluator, the printer and
+    the Cypher emitter reject it.  The type is kept only as vocabulary for
+    the benchmark's walk-oracle reference, which filters edges by a
+    property with it.
     """
 
     test: object
@@ -157,9 +160,7 @@ def union_path(branches) -> PathExpr:
 def star_path(inner: PathExpr) -> PathExpr:
     if isinstance(inner, Star):
         return inner
-    if isinstance(inner, NodeTest) or (
-        isinstance(inner, PropTest) and not inner.on_edge
-    ):
+    if isinstance(inner, NodeTest):
         # Zero iterations already admit every node.
         return ANY_NODE
     return Star(inner)
@@ -185,9 +186,9 @@ def inverse_path(p: PathExpr) -> PathExpr:
         return union_path([inverse_path(x) for x in p.branches])
     if isinstance(p, Star):
         return star_path(inverse_path(p.inner))
-    if isinstance(p, PropTest) and p.on_edge:
-        return PropTest(p.test, on_edge=True, flipped=not p.flipped)
-    return p
+    if isinstance(p, NodeTest):
+        return p
+    raise TypeError(f"not a path expression: {p!r}")
 
 
 def path_roles(p: PathExpr):
@@ -314,10 +315,6 @@ def path_to_str(p: PathExpr, prec: int = 0) -> str:
         return str(p.role)
     if isinstance(p, NodeTest):
         return "<" + "|".join(sorted(p.labels)) + ">"
-    if isinstance(p, PropTest):
-        tag = "edge:" if p.on_edge else ""
-        flip = "~" if p.flipped else ""
-        return f"[{flip}{tag}{test_to_str(p.test)}]"
     if isinstance(p, Star):
         s = path_to_str(p.inner, _PREC_STAR) + "*"
         this = _PREC_STAR

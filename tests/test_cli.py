@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from oracles import brute_force_answers
+
 from ontopath.cli import main
+from ontopath.graph import load_graph
+from ontopath.query import parse_rewriting
 
 TEACHER_TBOX = "Teacher <= exists teaches . Student\n"
 TEACHER_QUERY = "q(x) :- teaches(x,y), Student(y)\n"
@@ -123,6 +127,34 @@ def test_eval_rewriting_file(capsys, tmp_path, teacher_files):
     code, out, _err = run(capsys, ["eval", "-q", str(rw), "-g", str(graph)])
     assert code == 0
     assert out == "a\n"
+
+
+def test_eval_bound_composite_paths_match_brute_force(capsys, tmp_path):
+    # Both endpoints of each path atom are answer variables, so the engine
+    # needs the path's whole pair relation; the self-loops on c and t give
+    # walks that start and end at one node.
+    graph = tmp_path / "g.jsonl"
+    graph.write_text(
+        '{"type":"node","id":"a"}\n{"type":"node","id":"b"}\n'
+        '{"type":"node","id":"c","labels":["Region"]}\n'
+        '{"type":"node","id":"s","labels":["Student"]}\n{"type":"node","id":"t"}\n'
+        '{"type":"edge","src":"a","label":"partOf","dst":"b"}\n'
+        '{"type":"edge","src":"b","label":"partOf","dst":"c"}\n'
+        '{"type":"edge","src":"c","label":"partOf","dst":"c"}\n'
+        '{"type":"edge","src":"a","label":"teaches","dst":"s"}\n'
+        '{"type":"edge","src":"t","label":"teaches","dst":"s"}\n'
+        '{"type":"edge","src":"t","label":"teaches","dst":"t"}\n')
+    rewriting = ("q(x,y) :- (partOf*.<Region>)(x,y)\n"
+                 "q(x,y) :- (teaches.inv(teaches))(x,y)\n")
+    rw = tmp_path / "rw.q"
+    rw.write_text(rewriting)
+    code, out, _err = run(capsys, ["eval", "-q", str(rw), "-g", str(graph)])
+    assert code == 0
+    g = load_graph(graph.read_text())
+    expected = set().union(*(brute_force_answers(branch, g)
+                             for branch in parse_rewriting(rewriting).branches))
+    assert out == "".join(f"{x},{y}\n" for x, y in sorted(expected))
+    assert ("c", "c") in expected and ("t", "t") in expected
 
 
 def test_eval_empty_graph_empty_csv(capsys, tmp_path, teacher_files):

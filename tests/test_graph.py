@@ -10,7 +10,6 @@ from ontopath import graph as graph_module
 from ontopath.errors import GraphFormatError
 from ontopath.graph import (
     PropertyGraph,
-    eval_path,
     eval_query,
     graph_to_jsonl,
     load_graph,
@@ -23,11 +22,9 @@ from ontopath.query import (
     DataTest,
     EdgeStep,
     NodeTest,
-    PropTest,
     RoleAtom,
     Star,
     TestAtom,
-    TestNot,
     UC2RPQ,
     concat_path,
     parse_query,
@@ -200,13 +197,13 @@ def test_nodes_with_top_is_every_node():
     assert set(g.nodes_with(())) == set()
 
 
-# -- eval_path ----------------------------------------------------------------
+# -- path_pairs ---------------------------------------------------------------
 
 
 def test_concat_with_node_test():
     g = make_graph({"a": [], "b": ["Student"]}, [("a", "teaches", "b")])
     path = concat_path([EdgeStep(Role("teaches")), NodeTest(frozenset({"Student"}))])
-    assert eval_path(path, "x", "y", g) == {(("x", "a"), ("y", "b"))}
+    assert path_pairs(path, g) == {("a", "b")}
 
 
 def test_star_includes_identity_for_every_node():
@@ -215,32 +212,9 @@ def test_star_includes_identity_for_every_node():
     assert ("a", "a") in pairs and ("b", "b") in pairs and ("a", "b") in pairs
 
 
-def test_negated_test_holds_when_property_absent():
-    g = make_graph({"a": [], "b": []}, node_props={"a": {"age": 25}})
-    test = TestNot(DataTest("age", ">", 30))
-    path = PropTest(test)
-    assert eval_path(path, "x", "x", g) == {(("x", "a"),), (("x", "b"),)}
-
-
-def test_ordered_comparison_type_mismatch_is_false():
-    g = make_graph({"a": []}, node_props={"a": {"name": "Ada"}})
-    assert eval_path(PropTest(DataTest("name", ">", 3)), "x", "x", g) == set()
-    assert eval_path(PropTest(DataTest("name", "=", "Ada")), "x", "x", g) == {(("x", "a"),)}
-
-
 def test_inverse_edge_symmetry():
     g = make_graph({"a": [], "b": []}, [("a", "r", "b")])
     assert path_pairs(EdgeStep(Role("r", inverted=True)), g) == {("b", "a")}
-
-
-def test_edge_property_test_on_pair():
-    g = make_graph({"a": [], "b": []}, [("a", "r", "b")],
-                   edge_props={("a", "b"): {"since": 1999}})
-    path = PropTest(DataTest("since", "<", 2000), on_edge=True)
-    assert ("a", "b") in path_pairs(path, g)
-    assert ("b", "a") not in path_pairs(path, g)
-    flipped = PropTest(DataTest("since", "<", 2000), on_edge=True, flipped=True)
-    assert ("b", "a") in path_pairs(flipped, g)
 
 
 # -- eval_query ---------------------------------------------------------------
