@@ -10,17 +10,20 @@ Three queries are answered here:
   over the conjunction hyperedges of the concept and of its subsumees);
 * ``rewr_concept``: a regular path expression matching exactly the
   data-level derivations of a concept, obtained by reading the graph as a
-  finite automaton and eliminating states;
+  finite automaton and eliminating states (deepest first; each state keeps
+  a successor map and a predecessor set, so an elimination touches only
+  the state's own edges);
 * ``rewrite_role``: the union of a role's entailed subroles.
 
 To keep rewritings complete on entailments that route through existential
 witnesses, the graph also runs a consequence-driven label completion: for
 every concept name a set of certain subsumers, and for every existential
 axiom the labels certainly carried by its witness (including effects of the
-edge back to the witness's parent).  Derived subsumptions feed extra
-epsilon transitions into the automaton, so one concept path covers every
-entailed subsumee; everything remains sound because each completion rule
-is valid in every model.
+edge back to the witness's parent).  Each label set is closed by a
+worklist over indexes built once per graph.  Derived subsumptions feed
+extra epsilon transitions into the automaton, so one concept path covers
+every entailed subsumee; everything remains sound because each completion
+rule is valid in every model.
 """
 from __future__ import annotations
 
@@ -88,6 +91,11 @@ class RoleOrder:
     def subroles(self, role: Role) -> frozenset:
         return self._closure(role, self._sub, self._below)
 
+    def with_subroles(self):
+        """The super-roles of role inclusions and their inverses: the only
+        roles that can have a subrole other than themselves."""
+        return self._sub.keys()
+
     def is_subrole(self, sub: Role, sup: Role) -> bool:
         return sup in self.superroles(sub)
 
@@ -114,13 +122,29 @@ class DependencyGraph:
         self.roles = RoleOrder(nf)
         self.ex_right = tuple(
             (i, ax) for i, ax in enumerate(nf) if isinstance(ax, ExistsRight))
+        # Indexes for the label closure's worklist: ε-edges by subsumee,
+        # conjunctions by member, and for each existential axiom the role
+        # edges (rhs, filler) its witness's edge from the parent matches.
+        self._supers = {}
+        for sup, sub in self.eps_edges:
+            self._supers.setdefault(sub, []).append(sup)
+        self._conj_by_part = {}
+        for sup, parts in self.conj_edges:
+            for part in parts:
+                self._conj_by_part.setdefault(part, []).append((sup, parts))
         self._ex_right_by_lhs = {}
+        self._edges_to_witness = {}
         for i, ax in self.ex_right:
             self._ex_right_by_lhs.setdefault(ax.lhs, []).append(i)
+            self._edges_to_witness[i] = [
+                (sup, filler) for sup, role, filler in self.role_edges
+                if self.roles.is_subrole(ax.role, role)]
         self._subsumers = {}
         self._witness_labels = {}
         self._complete()
-        self._automaton = self._build_automaton()
+        self._outgoing = {}
+        for src, label, dst in self._build_automaton():
+            self._outgoing.setdefault(src, []).append((label, dst))
         self._concept_paths = {}
         self._hypothesis_cache = {}
 
@@ -132,39 +156,34 @@ class DependencyGraph:
         `parent`, when given, is a pair (parent labels, role from parent):
         the closed set then describes an existential witness that carries an
         inverse edge back to a parent with (at least) those labels.
+
+        Every rule is monotone, so a worklist of newly added labels reaches
+        the same least fixpoint as rescanning all rules until none fires.
         """
-        out = set(labels)
-        out.add(TOP)
-        changed = True
-        while changed:
-            changed = False
-            for sup, sub in self.eps_edges:
-                if sub in out and sup not in out:
-                    out.add(sup)
-                    changed = True
-            for sup, parts in self.conj_edges:
+        out = set()
+        stack = list(labels)
+        stack.append(TOP)
+        if parent is not None:
+            parent_labels, role_in = parent
+            back = role_in.inverse()
+            for sup, role, filler in self.role_edges:
+                if filler in parent_labels and self.roles.is_subrole(back, role):
+                    stack.append(sup)
+        while stack:
+            name = stack.pop()
+            if name in out:
+                continue
+            out.add(name)
+            stack.extend(self._supers.get(name, ()))
+            for sup, parts in self._conj_by_part.get(name, ()):
                 if sup not in out and parts <= out:
-                    out.add(sup)
-                    changed = True
-            for name in sorted(out):
-                for i in self._ex_right_by_lhs.get(name, ()):
-                    ax = self.tbox.normalized[i]
-                    child = self._witness_labels.get(i, {ax.filler, TOP})
-                    for sup, role, filler in self.role_edges:
-                        if sup in out:
-                            continue
-                        if self.roles.is_subrole(ax.role, role) and filler in child:
-                            out.add(sup)
-                            changed = True
-            if parent is not None:
-                parent_labels, role_in = parent
-                for sup, role, filler in self.role_edges:
-                    if sup in out:
-                        continue
-                    if (self.roles.is_subrole(role_in.inverse(), role)
-                            and filler in parent_labels):
-                        out.add(sup)
-                        changed = True
+                    stack.append(sup)
+            for i in self._ex_right_by_lhs.get(name, ()):
+                ax = self.tbox.normalized[i]
+                child = self._witness_labels.get(i, {ax.filler, TOP})
+                for sup, filler in self._edges_to_witness[i]:
+                    if filler in child:
+                        stack.append(sup)
         return out
 
     def _complete(self):
@@ -259,9 +278,7 @@ class DependencyGraph:
         return result
 
     def _eliminate(self, start: str) -> PathExpr:
-        outgoing = {}
-        for src, label, dst in self._automaton:
-            outgoing.setdefault(src, []).append((label, dst))
+        outgoing = self._outgoing
         # Breadth-first depths of the states reachable from the start
         # concept; elimination is restricted to them.
         depth = {start: 0}
@@ -269,43 +286,53 @@ class DependencyGraph:
         while frontier:
             nxt = []
             for state in frontier:
-                for _, dst in sorted(outgoing.get(state, ()),
-                                     key=lambda e: e[1]):
+                for _, dst in outgoing.get(state, ()):
                     if dst not in depth:
                         depth[dst] = depth[state] + 1
                         nxt.append(dst)
             frontier = nxt
 
+        # succ[u][v] is the regex on the edge u -> v; pred[v] holds every u
+        # with such an edge, as an insertion-ordered dict.
         START, FINAL = "\x00start", "\x00final"
-        edges = {}
+        succ = {START: {}}
+        pred = {FINAL: {}}
+        for state in depth:
+            succ[state] = {}
+            pred[state] = {}
 
         def merge(u, v, regex):
-            edges[(u, v)] = _r_union(edges.get((u, v)), regex)
+            out = succ[u]
+            old = out.get(v)
+            if old is None:
+                out[v] = regex
+                pred[v][u] = None
+            elif regex != _EPS or not _r_accepts_epsilon(old):
+                out[v] = _r_union(old, regex)
 
-        merge(START, start, (True, None))
-        for src, label, dst in self._automaton:
-            if src in depth:
-                merge(src, dst, (True, None) if label is None else (False, label))
+        merge(START, start, _EPS)
+        for src in depth:
+            for label, dst in outgoing.get(src, ()):
+                merge(src, dst, _EPS if label is None else (False, label))
         for state in sorted(depth):
             if state == TOP:
-                merge(state, FINAL, (True, None))
+                merge(state, FINAL, _EPS)
             else:
                 merge(state, FINAL, (False, NodeTest(frozenset({state}))))
 
         order = sorted(depth, key=lambda s: (-depth[s], s))
         for state in order:
-            loop = edges.pop((state, state), None)
-            loop_star = _r_star(loop)
-            ins = [(u, r) for (u, v), r in list(edges.items()) if v == state]
-            outs = [(v, r) for (u, v), r in list(edges.items()) if u == state]
-            for u, r_in in ins:
-                del edges[(u, state)]
-            for v, r_out in outs:
-                del edges[(state, v)]
-            for u, r_in in ins:
-                for v, r_out in outs:
-                    merge(u, v, _r_concat(_r_concat(r_in, loop_star), r_out))
-        return _r_to_path(edges.get((START, FINAL)))
+            outs = succ.pop(state)
+            ins = pred.pop(state)
+            loop_star = _r_star(outs.pop(state, None))
+            ins.pop(state, None)
+            for v in outs:
+                del pred[v][state]
+            for u in ins:
+                prefix = _r_concat(succ[u].pop(state), loop_star)
+                for v, r_out in outs.items():
+                    merge(u, v, _r_concat(prefix, r_out))
+        return _r_to_path(succ[START].get(FINAL))
 
 
 # -- regexes during elimination: (accepts_epsilon, expr-or-None) --------------
@@ -328,6 +355,14 @@ def _r(eps, expr):
     return (eps, expr)
 
 
+_EPS = (True, None)
+
+
+def _r_accepts_epsilon(a) -> bool:
+    """Whether the regex matches the zero-length walk, so a union with ε is a."""
+    return a[0] or (a[1] is not None and _nullable(a[1]))
+
+
 def _r_union(a, b):
     if a is None:
         return b
@@ -343,6 +378,10 @@ def _r_union(a, b):
 def _r_concat(a, b):
     if a is None or b is None:
         return None
+    if a == _EPS:
+        return b
+    if b == _EPS:
+        return a
     eps = a[0] and b[0]
     branches = []
     if a[1] is not None and b[1] is not None:
@@ -358,7 +397,7 @@ def _r_concat(a, b):
 
 def _r_star(a):
     if a is None or a[1] is None:
-        return (True, None)
+        return _EPS
     return _r(True, star_path(a[1]))
 
 

@@ -191,20 +191,6 @@ def inverse_path(p: PathExpr) -> PathExpr:
     raise TypeError(f"not a path expression: {p!r}")
 
 
-def path_roles(p: PathExpr):
-    """Role names occurring in edge steps, in no particular order."""
-    if isinstance(p, EdgeStep):
-        yield p.role.name
-    elif isinstance(p, Concat):
-        for x in p.parts:
-            yield from path_roles(x)
-    elif isinstance(p, UnionPath):
-        for x in p.branches:
-            yield from path_roles(x)
-    elif isinstance(p, Star):
-        yield from path_roles(p.inner)
-
-
 # ---------------------------------------------------------------------------
 # Atoms and queries
 
@@ -671,11 +657,12 @@ def _bind(mapping, var, node):
     return mapping if bound == node else None
 
 
-def _atom_targets(atom2, atoms1):
+def _atom_targets(atom2, inv, atoms1):
     """Candidate (target requirements) for mapping atom2 into a query.
 
-    Yields (pairs of (source var, target var)) lists; a candidate is usable
-    if all pairs can be bound consistently.
+    `inv` is the inverse of atom2's path when atom2 is a role atom.  Yields
+    (pairs of (source var, target var)) lists; a candidate is usable if all
+    pairs can be bound consistently.
     """
     if isinstance(atom2, ConceptAtom):
         for a1 in atoms1:
@@ -687,7 +674,6 @@ def _atom_targets(atom2, atoms1):
                 yield [(atom2.var, a1.src)]
                 yield [(atom2.var, a1.dst)]
     elif isinstance(atom2, RoleAtom):
-        inv = inverse_path(atom2.path)
         for a1 in atoms1:
             if isinstance(a1, RoleAtom):
                 if a1.path == atom2.path:
@@ -720,11 +706,15 @@ def contains_structurally(q: C2RPQ, q2: C2RPQ) -> bool:
         if mapping is None:
             return False
     atoms2 = tuple(q2.atoms)
+    inverses = [None] * len(atoms2)  # filled when the search first reaches an atom
 
     def search(i, mapping):
         if i == len(atoms2):
             return True
-        for pairs in _atom_targets(atoms2[i], q.atoms):
+        atom2 = atoms2[i]
+        if isinstance(atom2, RoleAtom) and inverses[i] is None:
+            inverses[i] = inverse_path(atom2.path)
+        for pairs in _atom_targets(atom2, inverses[i], q.atoms):
             m = mapping
             for var2, var1 in pairs:
                 m = _bind(m, var2, var1)
@@ -748,25 +738,49 @@ def add_subseteq(members: tuple, q: C2RPQ) -> tuple:
     return kept + (q,)
 
 
-def substitute_role(q: C2RPQ, role: Role, replacement: PathExpr) -> C2RPQ:
-    """Replace edge steps over `role` by `replacement` in every role atom.
+def _same(items, originals) -> bool:
+    return all(a is b for a, b in zip(items, originals))
 
-    Steps over the inverse of `role` receive the reversed replacement.
+
+def substitute_role(q: C2RPQ, replacements: dict, memo: dict = None) -> C2RPQ:
+    """Replace every edge step over a role of `replacements` in one walk.
+
+    `replacements` maps roles to paths.  A step over the inverse of a key
+    (when that inverse is not a key itself) receives the reversed
+    replacement, computed once.  The result is the same as substituting
+    one role after another when no replacement introduces a step that
+    another replacement would widen further, as holds for the rewriter's
+    subrole unions (each is closed under the roles it contains).
+
+    Paths must be canonical.  `memo` caches the substituted form of every
+    sub-path, so that paths shared between queries are walked once; pass
+    the same dict only to calls with the same `replacements`.
     """
-    inv = inverse_path(replacement)
+    if memo is None:
+        memo = {}
 
     def subst(p: PathExpr) -> PathExpr:
+        hit = memo.get(p)
+        if hit is not None:
+            return hit
         if isinstance(p, EdgeStep):
-            if p.role.name != role.name:
-                return p
-            return replacement if p.role.inverted == role.inverted else inv
-        if isinstance(p, Concat):
-            return concat_path([subst(x) for x in p.parts])
-        if isinstance(p, UnionPath):
-            return union_path([subst(x) for x in p.branches])
-        if isinstance(p, Star):
-            return star_path(subst(p.inner))
-        return p
+            out = replacements.get(p.role)
+            if out is None:
+                out = replacements.get(p.role.inverse())
+                out = p if out is None else inverse_path(out)
+        elif isinstance(p, Concat):
+            parts = [subst(x) for x in p.parts]
+            out = p if _same(parts, p.parts) else concat_path(parts)
+        elif isinstance(p, UnionPath):
+            branches = [subst(x) for x in p.branches]
+            out = p if _same(branches, p.branches) else union_path(branches)
+        elif isinstance(p, Star):
+            inner = subst(p.inner)
+            out = p if inner is p.inner else star_path(inner)
+        else:
+            out = p
+        memo[p] = out
+        return out
 
     atoms = set()
     for atom in q.atoms:

@@ -13,7 +13,9 @@ The pipeline has three phases:
 3. Role rewriting: every role occurrence is widened to the union of its
    entailed subroles, giving one query per concept rewriting.  Widening
    only enlarges each relation, so the widened query contains the query it
-   came from and every partially widened variant.
+   came from and every partially widened variant.  All roles are
+   substituted in one walk, with sub-path results shared across the
+   rewrite's queries.
 
 Every produced query is inserted through the structural-containment filter,
 which drops queries structurally contained in one already kept.
@@ -43,7 +45,6 @@ from .query import (
     add_subseteq,
     atom_vars,
     canon_query,
-    path_roles,
     query_to_str,
     substitute_role,
 )
@@ -245,17 +246,16 @@ def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> l
     return stage
 
 
-def _widen_roles(q1: C2RPQ, g: DependencyGraph) -> C2RPQ:
-    names = sorted({
-        name
-        for atom in q1.atoms if isinstance(atom, RoleAtom)
-        for name in path_roles(atom.path)
-    })
+def _role_widenings(g: DependencyGraph) -> dict:
+    """{role: union of its entailed subroles} for each role name that has a
+    proper subrole; every other role widens to itself."""
+    names = sorted({role.name for role in g.roles.with_subroles()})
+    widenings = {}
     for name in names:
         replacement = rewrite_role(Role(name), g)
         if replacement != EdgeStep(Role(name)):
-            q1 = substitute_role(q1, Role(name), replacement)
-    return q1
+            widenings[Role(name)] = replacement
+    return widenings
 
 
 def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
@@ -274,9 +274,15 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     saturated = _saturate_clipping(q0, g, budget)
     staged = _concept_rewritings(saturated, g, budget)
 
+    # Widening is one simultaneous substitution: a subrole's union is
+    # contained in its super-role's, so substituting the roles one after
+    # another would give the same paths.
+    widenings = _role_widenings(g)
+    widened = {}
     result = RewritingSet(q0.answer_vars)
     for q1 in staged:
-        q1 = _widen_roles(q1, g)
+        if widenings:
+            q1 = substitute_role(q1, widenings, widened)
         result = result.add(q1) if prune else result.append(q1)
     return result
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpus import random_tbox
 from oracles import make_graph, random_graph
 
 from ontopath.chase import chase
@@ -15,7 +16,7 @@ from ontopath.depgraph import (
 from ontopath.errors import BudgetExceededError
 from ontopath.graph import eval_query, path_pairs
 from ontopath.query import C2RPQ, EdgeStep, NodeTest, RoleAtom, parse_query, path_to_str
-from ontopath.tbox import Role, parse_tbox
+from ontopath.tbox import TOP, Role, parse_tbox
 from oracles import unroll_stars
 
 
@@ -315,3 +316,41 @@ def test_witness_labels_with_hypothesis():
     ((idx, _ax),) = g.ex_right
     assert "D" not in g.witness_labels(idx)
     assert "D" in g.witness_labels_with(idx, "E")
+
+
+def _rescanned_closure(g, labels, parent):
+    """The label closure as a fixpoint that rescans every rule until none fires."""
+    out = set(labels) | {TOP}
+    changed = True
+    while changed:
+        changed = False
+        new = {sup for sup, sub in g.eps_edges if sub in out}
+        new |= {sup for sup, parts in g.conj_edges if parts <= out}
+        for i, ax in g.ex_right:
+            if ax.lhs in out:
+                child = g.witness_labels(i)
+                new |= {sup for sup, role, filler in g.role_edges
+                        if g.roles.is_subrole(ax.role, role) and filler in child}
+        if parent is not None:
+            parent_labels, role_in = parent
+            new |= {sup for sup, role, filler in g.role_edges
+                    if g.roles.is_subrole(role_in.inverse(), role)
+                    and filler in parent_labels}
+        if not new <= out:
+            out |= new
+            changed = True
+    return out
+
+
+def test_worklist_label_closure_matches_the_rescanning_fixpoint():
+    rng = random.Random(2718)
+    for _ in range(150):
+        g = build_dependency_graph(random_tbox(rng))
+        for name in sorted(g.nodes):
+            assert g._close_labels({name}, None) == _rescanned_closure(g, {name}, None)
+            assert g.subsumers(name) == _rescanned_closure(g, g.subsumers(name), None)
+        for i, ax in g.ex_right:
+            parent = (g.subsumers(ax.lhs), ax.role)
+            assert (g._close_labels({ax.filler}, parent)
+                    == _rescanned_closure(g, {ax.filler}, parent))
+            assert g.witness_labels(i) == _rescanned_closure(g, g.witness_labels(i), parent)

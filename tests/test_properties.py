@@ -35,7 +35,8 @@ from ontopath.query import (
     substitute_role,
     union_path,
 )
-from ontopath.rewriter import rewrite_ncq
+from ontopath.depgraph import build_dependency_graph, rewrite_role
+from ontopath.rewriter import _role_widenings, rewrite_ncq
 from ontopath.tbox import Role, parse_tbox
 
 
@@ -99,9 +100,68 @@ def test_constructed_paths_are_canonical(path, other, replacement, role):
             == concat_path([path, concat_path([other, replacement])]))
     q = C2RPQ(("x",), frozenset({RoleAtom(path, "x", "y"),
                                  RoleAtom(other, "y", "z")}))
-    for atom in substitute_role(q, role, replacement).atoms:
+    for atom in substitute_role(q, {role: replacement}).atoms:
         assert _is_canonical(atom.path), path_to_str(atom.path)
         assert canon_path(atom.path) == atom.path, path_to_str(atom.path)
+
+
+_roles = st.sampled_from([Role(name, inverted) for name in "rst"
+                          for inverted in (False, True)])
+_wide_paths = st.recursive(
+    st.one_of(st.builds(EdgeStep, _roles), st.just(NodeTest(frozenset({"A"})))),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: concat_path([a, b]), inner, inner),
+        st.builds(lambda a, b: union_path([a, b]), inner, inner),
+        st.builds(star_path, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _substitute_one_role(q, role, replacement):
+    """Single-role substitution as the rewriter applied it, one role at a time."""
+    inv = inverse_path(replacement)
+
+    def subst(p):
+        if isinstance(p, EdgeStep):
+            if p.role.name != role.name:
+                return p
+            return replacement if p.role.inverted == role.inverted else inv
+        if isinstance(p, Concat):
+            return concat_path([subst(x) for x in p.parts])
+        if isinstance(p, UnionPath):
+            return union_path([subst(x) for x in p.branches])
+        if isinstance(p, Star):
+            return star_path(subst(p.inner))
+        return p
+
+    return C2RPQ(q.answer_vars, frozenset(
+        RoleAtom(subst(a.path), a.src, a.dst) for a in q.atoms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_paths, _wide_paths, _wide_paths,
+       st.lists(st.tuples(_roles, _roles), max_size=4))
+def test_one_walk_widening_equals_sequential_substitution(path, other, shared, hierarchy):
+    # Subrole unions, inverse subroles included, substituted all at once
+    # must give what substituting one role name at a time in sorted order
+    # gave; a memo shared by two queries must not change either result.
+    t = parse_tbox("\n".join(f"{sub} <= {sup}" for sub, sup in hierarchy))
+    g = build_dependency_graph(t)
+    widenings = _role_widenings(g)
+    queries = [
+        C2RPQ(("x",), frozenset({RoleAtom(path, "x", "y"), RoleAtom(shared, "y", "z")})),
+        C2RPQ(("x",), frozenset({RoleAtom(other, "x", "y"), RoleAtom(shared, "x", "z")})),
+    ]
+    memo = {}
+    for q in queries:
+        expected = q
+        for name in "rst":
+            replacement = rewrite_role(Role(name), g)
+            if replacement != EdgeStep(Role(name)):
+                expected = _substitute_one_role(expected, Role(name), replacement)
+        assert substitute_role(q, widenings) == expected
+        assert substitute_role(q, widenings, memo) == expected
 
 
 @settings(max_examples=120, deadline=None)

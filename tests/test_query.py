@@ -252,14 +252,14 @@ def test_add_subseteq_is_antichain(labels, with_edges):
 def test_substitute_single_occurrence():
     q = q1(edge("r", "x", "y"), head=("x", "y"))
     e = union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))])
-    out = substitute_role(q, Role("r"), e)
+    out = substitute_role(q, {Role("r"): e})
     assert out.atoms == frozenset({RoleAtom(e, "x", "y")})
 
 
 def test_substitute_inverse_occurrence():
     q = q1(edge("r", "x", "y", inverted=True), head=("x", "y"))
     e = union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))])
-    out = substitute_role(q, Role("r"), e)
+    out = substitute_role(q, {Role("r"): e})
     (atom,) = out.atoms
     assert atom.path == union_path(
         [EdgeStep(Role("r", inverted=True)), EdgeStep(Role("s", inverted=True))]
@@ -267,7 +267,7 @@ def test_substitute_inverse_occurrence():
     # Verified against evaluation on tiny graphs.
     for edges in [[("a", "r", "b")], [("a", "s", "b")], [("b", "r", "a")], [("b", "s", "a")]]:
         g = make_graph({"a": [], "b": []}, edges)
-        direct = eval_query(substitute_role(q, Role("r"), e), g)
+        direct = eval_query(substitute_role(q, {Role("r"): e}), g)
         expected = eval_query(
             UC2RPQ(("x", "y"), (q1(edge("r", "x", "y", inverted=True), head=("x", "y")),
                                 q1(edge("s", "x", "y", inverted=True), head=("x", "y")))), g)
@@ -277,13 +277,13 @@ def test_substitute_inverse_occurrence():
 def test_substitute_no_occurrence():
     q = q1(edge("t", "x", "y"), head=("x", "y"))
     e = union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))])
-    assert substitute_role(q, Role("r"), e) == q
+    assert substitute_role(q, {Role("r"): e}) == q
 
 
 def test_substitute_inside_nested_path():
     inner = star_path(EdgeStep(Role("r")))
     q = C2RPQ(("x",), frozenset({RoleAtom(inner, "x", "y")}))
-    out = substitute_role(q, Role("r"), union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))]))
+    out = substitute_role(q, {Role("r"): union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))])})
     (atom,) = out.atoms
     assert atom.path == star_path(union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))]))
 
