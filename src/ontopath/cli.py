@@ -177,7 +177,7 @@ def cmd_chase(args) -> int:
 
 def cmd_check(args) -> int:
     config = load_config(args)
-    t = _load_tbox(args.tbox)
+    t = _load_tbox(args.tbox)  # normalized once; the rewriter and the chase take it as it is
     q = parse_query(_read(args.query))
     g = _load_graph_arg(args.graph)
     rewriting = rewrite_ncq(q, t, budget=config.budget()).to_uc2rpq()

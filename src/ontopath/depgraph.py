@@ -27,6 +27,8 @@ rule is valid in every model.
 """
 from __future__ import annotations
 
+from collections import deque
+
 from .errors import BudgetExceededError
 from .query import (
     ANY_NODE,
@@ -103,7 +105,7 @@ class RoleOrder:
 class DependencyGraph:
     """Built once from a TBox; the three query operations are pure.
 
-    Internal memo tables (concept paths, hypothesis closures) only ever
+    Internal memo tables (concept paths, hypothesis closures, witness sets) only ever
     gain entries that are deterministic functions of the immutable inputs,
     so sharing one graph across threads is safe.
     """
@@ -147,6 +149,13 @@ class DependencyGraph:
             self._outgoing.setdefault(src, []).append((label, dst))
         self._concept_paths = {}
         self._hypothesis_cache = {}
+        # For `witness`: conjunctions by each non-top subsumer of their
+        # right-hand side, and its results by (name, cap).
+        self._conjs_by_subsumer = {}
+        for rhs, parts in sorted(self.conj_edges, key=lambda e: (e[0], sorted(e[1]))):
+            for sup in sorted(self.subsumers(rhs) - {TOP}):  # TOP needs no witnessing
+                self._conjs_by_subsumer.setdefault(sup, []).append(parts)
+        self._witness_sets = {}
 
     # -- label completion ---------------------------------------------------
 
@@ -430,18 +439,18 @@ def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
     is dropped when its members entail every member of another set, since
     its branch is then contained in the other's (of two sets that entail
     each other, the smaller is kept).  The result always contains {name}.
-    Raises BudgetExceededError past `cap` sets.
+    Raises BudgetExceededError past `cap` sets; only results are kept on
+    the graph, so every call over the cap raises.
     """
-    conjs = {}
-    for rhs, parts in sorted(g.conj_edges, key=lambda e: (e[0], sorted(e[1]))):
-        for sup in sorted(g.subsumers(rhs) - {TOP}):  # TOP needs no witnessing
-            conjs.setdefault(sup, []).append(parts)
-
+    known = g._witness_sets.get((name, cap))
+    if known is not None:
+        return known
+    conjs = g._conjs_by_subsumer
     start = frozenset({name})
     visited = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for member in sorted(current):
             for parts in conjs.get(member, ()):
                 candidate = current - {member} | parts
@@ -465,7 +474,8 @@ def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
             and not (covers(other, s) and key(s) < key(other))
             for other in visited)
     ]
-    return tuple(sorted(minimal, key=key))
+    result = g._witness_sets[(name, cap)] = tuple(sorted(minimal, key=key))
+    return result
 
 
 def rewr_concept(name: str, g: DependencyGraph) -> PathExpr:

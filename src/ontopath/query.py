@@ -13,6 +13,16 @@ arguments are canonical, and the parser, `inverse_path` and
 `substitute_role` build every path through them.  Nothing re-walks a path
 to canonicalize it; `canon_path`/`canon_query` are kept only at
 `rewrite_ncq`'s input, for hand-built queries.
+
+The composite nodes (`Concat`, `UnionPath`, `Star`) each keep three
+derived values once first asked for: their hash, their unparenthesized
+text (`path_to_str`, which is also `union_path`'s sort key) and their
+inverse (`inverse_path`).  The values are stored on the node itself,
+outside the dataclass fields, so equality and repr ignore them, and they
+die with the node; no table outlives a rewriting.  Pickling or copying a
+node carries its fields only, since a string's hash differs between
+processes.  `EdgeStep` and `NodeTest` are cheap to hash and render, and
+keep nothing.
 """
 from __future__ import annotations
 
@@ -67,6 +77,31 @@ class PathExpr:
     """Base class for path expressions."""
 
 
+_PREC_UNION, _PREC_CONCAT, _PREC_STAR = 1, 2, 3
+
+
+class _Composite(PathExpr):
+    """A node built from sub-paths; it keeps its derived values (see above).
+
+    Subclasses bind `__hash__` in their own body, where dataclass leaves an
+    explicit one in place, set `_prec`, their printing precedence, and
+    return their one field from `_fields`.
+    """
+
+    _hash = _text = _inv = None  # shadowed on the instance once computed
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            # The value dataclass would generate, so set orders do not move.
+            h = hash(self._fields())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
 @dataclass(frozen=True)
 class NodeTest(PathExpr):
     """Zero-length step requiring some label of `labels` at the node."""
@@ -83,18 +118,36 @@ class EdgeStep(PathExpr):
 
 
 @dataclass(frozen=True)
-class Concat(PathExpr):
+class Concat(_Composite):
     parts: tuple
 
+    __hash__ = _Composite.__hash__
+    _prec = _PREC_CONCAT
+
+    def _fields(self) -> tuple:
+        return (self.parts,)
+
 
 @dataclass(frozen=True)
-class UnionPath(PathExpr):
+class UnionPath(_Composite):
     branches: tuple
 
+    __hash__ = _Composite.__hash__
+    _prec = _PREC_UNION
+
+    def _fields(self) -> tuple:
+        return (self.branches,)
+
 
 @dataclass(frozen=True)
-class Star(PathExpr):
+class Star(_Composite):
     inner: PathExpr
+
+    __hash__ = _Composite.__hash__
+    _prec = _PREC_STAR
+
+    def _fields(self) -> tuple:
+        return (self.inner,)
 
 
 @dataclass(frozen=True)
@@ -180,15 +233,20 @@ def inverse_path(p: PathExpr) -> PathExpr:
     """The reverse of a path: concatenations flip, edges invert."""
     if isinstance(p, EdgeStep):
         return EdgeStep(p.role.inverse())
-    if isinstance(p, Concat):
-        return concat_path([inverse_path(x) for x in reversed(p.parts)])
-    if isinstance(p, UnionPath):
-        return union_path([inverse_path(x) for x in p.branches])
-    if isinstance(p, Star):
-        return star_path(inverse_path(p.inner))
     if isinstance(p, NodeTest):
         return p
-    raise TypeError(f"not a path expression: {p!r}")
+    if not isinstance(p, _Composite):
+        raise TypeError(f"not a path expression: {p!r}")
+    inv = p._inv
+    if inv is None:
+        if isinstance(p, Concat):
+            inv = concat_path([inverse_path(x) for x in reversed(p.parts)])
+        elif isinstance(p, UnionPath):
+            inv = union_path([inverse_path(x) for x in p.branches])
+        else:
+            inv = star_path(inverse_path(p.inner))
+        object.__setattr__(p, "_inv", inv)
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -293,26 +351,23 @@ def test_to_str(t) -> str:
     raise TypeError(f"not a test expression: {t!r}")
 
 
-_PREC_UNION, _PREC_CONCAT, _PREC_STAR, _PREC_PRIMARY = 1, 2, 3, 4
-
-
 def path_to_str(p: PathExpr, prec: int = 0) -> str:
     if isinstance(p, EdgeStep):
         return str(p.role)
     if isinstance(p, NodeTest):
         return "<" + "|".join(sorted(p.labels)) + ">"
-    if isinstance(p, Star):
-        s = path_to_str(p.inner, _PREC_STAR) + "*"
-        this = _PREC_STAR
-    elif isinstance(p, Concat):
-        s = ".".join(path_to_str(x, _PREC_CONCAT) for x in p.parts)
-        this = _PREC_CONCAT
-    elif isinstance(p, UnionPath):
-        s = "|".join(path_to_str(x, _PREC_UNION) for x in p.branches)
-        this = _PREC_UNION
-    else:
+    if not isinstance(p, _Composite):
         raise TypeError(f"not a path expression: {p!r}")
-    return f"({s})" if this < prec else s
+    s = p._text
+    if s is None:
+        if isinstance(p, Star):
+            s = path_to_str(p.inner, _PREC_STAR) + "*"
+        elif isinstance(p, Concat):
+            s = ".".join(path_to_str(x, _PREC_CONCAT) for x in p.parts)
+        else:
+            s = "|".join(path_to_str(x, _PREC_UNION) for x in p.branches)
+        object.__setattr__(p, "_text", s)
+    return f"({s})" if p._prec < prec else s
 
 
 def atom_to_str(atom) -> str:

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import brute_force_answers
 
+from ontopath import tbox as tbox_module
 from ontopath.cli import main
 from ontopath.graph import load_graph
 from ontopath.query import parse_rewriting
@@ -226,6 +227,24 @@ def test_check_ok(capsys, teacher_files):
                                    "-g", str(graph)])
     assert code == 0
     assert out == "OK\n"
+
+
+def test_check_normalizes_the_tbox_once(capsys, teacher_files, monkeypatch):
+    # The rewriter, its dependency graph and the chase all take the
+    # normalized TBox as it is.
+    runs = []
+
+    class CountingNormalizer(tbox_module._Normalizer):
+        def __init__(self):
+            runs.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(tbox_module, "_Normalizer", CountingNormalizer)
+    tbox, query, graph = teacher_files
+    code, out, _err = run(capsys, ["check", "-t", str(tbox), "-q", str(query),
+                                   "-g", str(graph)])
+    assert (code, out) == (0, "OK\n")
+    assert len(runs) == 1
 
 
 def test_check_reports_known_incompleteness(capsys, tmp_path):

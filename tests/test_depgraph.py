@@ -124,6 +124,18 @@ def test_witness_cap_raises():
         witness("A", g, cap=4)
 
 
+def test_witness_keeps_results_on_the_graph_but_raises_every_time():
+    lines = [f"B{i} & C{i} <= A" for i in range(12)]
+    g = dep("\n".join(lines))
+    sets = witness("A", g, cap=13)
+    assert witness("A", g, cap=13) is sets
+    assert witness("A", dep("\n".join(lines)), cap=13) == sets
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            witness("A", g, cap=4)
+    assert witness("B0", g) == (frozenset({"B0"}),)
+
+
 # -- rewr_concept ----------------------------------------------------------------
 
 

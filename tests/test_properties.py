@@ -1,5 +1,6 @@
 """Cross-cutting semantic properties checked on random structures."""
 import random
+from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,103 @@ def test_inverse_path_reverses_the_relation(path, seed):
     forward = path_pairs(path, g)
     backward = path_pairs(inverse_path(path), g)
     assert backward == {(v, u) for (u, v) in forward}
+
+
+def _rebuild(p):
+    """An equal path made of new nodes, built by the plain constructors."""
+    if isinstance(p, Concat):
+        return Concat(tuple(_rebuild(x) for x in p.parts))
+    if isinstance(p, UnionPath):
+        return UnionPath(tuple(_rebuild(x) for x in p.branches))
+    if isinstance(p, Star):
+        return Star(_rebuild(p.inner))
+    if isinstance(p, EdgeStep):
+        return EdgeStep(Role(p.role.name, p.role.inverted))
+    return NodeTest(frozenset(p.labels))
+
+
+def _render(p, prec=0):
+    """`path_to_str` recomputed from the fields, reading no stored text."""
+    if isinstance(p, EdgeStep):
+        return str(p.role)
+    if isinstance(p, NodeTest):
+        return "<" + "|".join(sorted(p.labels)) + ">"
+    if isinstance(p, Star):
+        s, this = _render(p.inner, 3) + "*", 3
+    elif isinstance(p, Concat):
+        s, this = ".".join(_render(x, 2) for x in p.parts), 2
+    else:
+        s, this = "|".join(_render(x, 1) for x in p.branches), 1
+    return f"({s})" if this < prec else s
+
+
+def _inverse(p):
+    """`inverse_path` recomputed from the fields, reading no stored inverse."""
+    if isinstance(p, EdgeStep):
+        return EdgeStep(p.role.inverse())
+    if isinstance(p, Concat):
+        return concat_path([_inverse(x) for x in reversed(p.parts)])
+    if isinstance(p, UnionPath):
+        return union_path([_inverse(x) for x in p.branches])
+    if isinstance(p, Star):
+        return star_path(_inverse(p.inner))
+    return p
+
+
+def _composites(p):
+    if isinstance(p, Concat):
+        yield p
+        for x in p.parts:
+            yield from _composites(x)
+    elif isinstance(p, UnionPath):
+        yield p
+        for x in p.branches:
+            yield from _composites(x)
+    elif isinstance(p, Star):
+        yield p
+        yield from _composites(p.inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_paths, st.integers(0, 4))
+def test_stored_text_matches_a_fresh_render(path, prec):
+    # Union branches of `path` kept their text when `union_path` sorted
+    # them; an equal path of new nodes renders afresh.
+    fresh = _rebuild(path)
+    assert path_to_str(path, prec) == _render(fresh, prec)
+    for node in _composites(path):
+        assert path_to_str(node) == _render(_rebuild(node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_paths)
+def test_stored_inverse_matches_the_recursive_inverse(path):
+    assert inverse_path(path) == _inverse(_rebuild(path))
+    for node in _composites(path):
+        assert inverse_path(node) is inverse_path(node)
+        assert inverse_path(node) == _inverse(_rebuild(node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_paths)
+def test_inverse_of_a_canonical_path_is_an_involution(path):
+    assert inverse_path(inverse_path(path)) == path
+    assert inverse_path(inverse_path(_rebuild(path))) == path
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_paths)
+def test_equal_distinct_nodes_hash_equally(path):
+    first, second = _rebuild(path), _rebuild(path)
+    hash(first)  # stores the hashes of first's nodes, not of second's
+    for a, b in zip(_composites(first), _composites(second)):
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        # The value the generated dataclass hash gives, so that iteration
+        # orders of sets and dicts holding paths stay as they were.
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a)))
+    assert hash(first) == hash(second) == hash(path)
+    assert second in {first}
 
 
 @settings(max_examples=120, deadline=None)

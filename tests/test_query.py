@@ -1,4 +1,10 @@
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +30,7 @@ from ontopath.query import (
     inverse_path,
     parse_query,
     parse_rewriting,
+    path_to_str,
     query_to_str,
     rewriting_to_str,
     star_path,
@@ -302,3 +309,57 @@ def test_rewriting_print_parse_round_trip():
     text = rewriting_to_str(u)
     again = parse_rewriting(text)
     assert set(again.branches) == set(u.branches)
+
+
+# -- values kept on path nodes ---------------------------------------------------
+
+
+_UNION_TEXT = "q(x) :- (teaches.inv(mentors)|(likes|knows)*.<Student|Person>)(x,y)"
+
+
+def _stored(p) -> set:
+    return set(vars(p)) - {"parts", "branches", "inner"}
+
+
+def test_copies_carry_fields_but_no_stored_values():
+    (atom,) = parse_query(_UNION_TEXT, extended=True).atoms
+    path = atom.path
+    hash(path)
+    inverse_path(path)
+    path_to_str(path)
+    assert _stored(path) == {"_hash", "_text", "_inv"}
+    for other in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+        assert other == path and repr(other) == repr(path)
+        assert _stored(other) == set()
+        assert hash(other) == hash(path)
+
+
+_PICKLE_UNION = f"""
+import pickle, sys
+from ontopath.query import parse_query
+(atom,) = parse_query({_UNION_TEXT!r}, extended=True).atoms
+hash(atom.path)
+sys.stdout.write(pickle.dumps(atom.path).hex())
+"""
+
+_FIND_UNION = f"""
+import pickle, sys
+from ontopath.query import parse_query
+(atom,) = parse_query({_UNION_TEXT!r}, extended=True).atoms
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+assert loaded in {{atom.path}} and atom.path in {{loaded}}, "hash travelled"
+print("found")
+"""
+
+
+def test_a_pickled_union_is_found_under_another_hash_seed():
+    # String hashes differ between the two processes, so a hash pickled
+    # with the union would not match the one its equal computes afresh.
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    pickled = subprocess.run([sys.executable, "-c", _PICKLE_UNION], capture_output=True,
+                             text=True, check=True, env=dict(env, PYTHONHASHSEED="0"))
+    found = subprocess.run([sys.executable, "-c", _FIND_UNION], input=pickled.stdout,
+                           capture_output=True, text=True, env=dict(env, PYTHONHASHSEED="1"))
+    assert found.returncode == 0, found.stderr
+    assert found.stdout == "found\n"
