@@ -4,8 +4,15 @@ The emittable path fragment is: edges and inverse edges, unions of
 same-direction edges (packed into one relationship pattern), stars over
 those, concatenations of emittable pieces, node tests, and data tests.
 Unions that do not pack into a relationship pattern are distributed into
-separate UNION branches first; anything else raises UnsupportedPathError
+separate UNION arms first; anything else raises UnsupportedPathError
 rather than silently approximating.
+
+A path atom is a chain of units: a node test, or one relationship pattern
+given as (roles, inverted, star). Each relationship unit takes a fresh mid
+variable; the last unit's is replaced by the atom's target. An atom of node
+tests only makes its endpoints one node, named by an answer variable if
+either is one, else by the smaller name. An edge data test reads the
+relationship variable of the first plain single-role edge stored on its pair.
 """
 from __future__ import annotations
 
@@ -85,13 +92,11 @@ def _label_condition(var, labels) -> str:
 def _edge_union_roles(path):
     """Roles of a union packable into one relationship pattern, or None."""
     branches = path.branches if isinstance(path, UnionPath) else (path,)
-    steps = [b for b in branches if isinstance(b, EdgeStep)]
-    if len(steps) != len(branches):
+    if not all(isinstance(b, EdgeStep) for b in branches):
         return None
-    inversions = {s.role.inverted for s in steps}
-    if len(inversions) != 1:
+    if len({b.role.inverted for b in branches}) != 1:
         return None
-    return sorted(s.role.name for s in steps), steps[0].role.inverted
+    return sorted(b.role.name for b in branches), branches[0].role.inverted
 
 
 def _distribute(path):
@@ -102,200 +107,127 @@ def _distribute(path):
     if isinstance(path, UnionPath):
         if _edge_union_roles(path) is not None:
             return [path]
-        out = []
-        for branch in path.branches:
-            out.extend(_distribute(branch))
-        return out
+        return [alt for branch in path.branches for alt in _distribute(branch)]
     return [path]
 
 
 def _distribute_query(q: C2RPQ):
-    per_atom = []
-    fixed = []
-    for atom in sorted(q.atoms, key=atom_sort_key):
-        if isinstance(atom, RoleAtom):
-            per_atom.append([RoleAtom(p, atom.src, atom.dst)
-                             for p in _distribute(atom.path)])
-        else:
-            fixed.append(atom)
-    out = []
-    for combo in itertools.product(*per_atom):
-        out.append(C2RPQ(q.answer_vars, frozenset(fixed) | frozenset(combo)))
-    return out
-
-
-# -- path segmentation -------------------------------------------------------------
-
-
-def _units(path):
-    """Chain units: ('rel', roles, inverted, star) or ('test', node test)."""
-    parts = path.parts if isinstance(path, Concat) else (path,)
-    units = []
-    for part in parts:
-        if isinstance(part, EdgeStep):
-            units.append(("rel", [part.role.name], part.role.inverted, False))
-        elif isinstance(part, Star):
-            packed = _edge_union_roles(part.inner)
-            if packed is None:
-                raise UnsupportedPathError(
-                    f"cannot emit a star over {path_to_str(part.inner)}")
-            roles, inverted = packed
-            units.append(("rel", list(roles), inverted, True))
-        elif isinstance(part, NodeTest):
-            units.append(("test", part))
-        elif isinstance(part, UnionPath):
-            packed = _edge_union_roles(part)
-            if packed is None:
-                raise UnsupportedPathError(
-                    f"cannot emit the union {path_to_str(part)} inside one "
-                    "relationship pattern")
-            roles, inverted = packed
-            units.append(("rel", list(roles), inverted, False))
-        else:
-            raise UnsupportedPathError(f"cannot emit {path_to_str(part)}")
-    return units
+    # Arms follow the sorted role atoms, so that when several arms cannot be
+    # emitted, the error names the same one whatever the string hash seed.
+    roles = sorted((a for a in q.atoms if isinstance(a, RoleAtom)), key=atom_sort_key)
+    fixed = frozenset(a for a in q.atoms if not isinstance(a, RoleAtom))
+    per_atom = [[RoleAtom(p, a.src, a.dst) for p in _distribute(a.path)] for a in roles]
+    return [C2RPQ(q.answer_vars, fixed | frozenset(combo))
+            for combo in itertools.product(*per_atom)]
 
 
 # -- branch emission ------------------------------------------------------------------
 
 
-class _Aliases:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, var):
-        self.parent.setdefault(var, var)
-        while self.parent[var] != var:
-            self.parent[var] = self.parent[self.parent[var]]
-            var = self.parent[var]
-        return var
-
-    def merge(self, a, b, prefer):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        keep, drop = sorted((ra, rb), key=prefer)
-        self.parent[drop] = keep
+def _units(path):
+    """The path's chain units: a NodeTest, or (roles, inverted, star)."""
+    parts = path.parts if isinstance(path, Concat) else (path,)
+    units = []
+    for part in parts:
+        star = isinstance(part, Star)
+        if isinstance(part, NodeTest):
+            units.append(part)
+        elif isinstance(part, EdgeStep):
+            units.append(([part.role.name], part.role.inverted, False))
+        elif (packed := _edge_union_roles(part.inner if star else part)) is not None:
+            units.append((*packed, star))
+        elif star:
+            raise UnsupportedPathError(
+                f"cannot emit a star over {path_to_str(part.inner)}")
+        elif isinstance(part, UnionPath):
+            raise UnsupportedPathError(
+                f"cannot emit the union {path_to_str(part)} inside one "
+                "relationship pattern")
+        else:
+            raise UnsupportedPathError(f"cannot emit {path_to_str(part)}")
+    return units
 
 
 def _emit_branch(q: C2RPQ, diagnostics: list) -> str:
+    atoms = sorted(q.atoms, key=atom_sort_key)
     query_vars = set()
-    for atom in q.atoms:
+    units = {}  # position in atoms -> the role atom's chain units
+    alias = {}
+
+    def find(var):
+        while var in alias:
+            var = alias[var]
+        return var
+
+    for i, atom in enumerate(atoms):
         if isinstance(atom, ConceptAtom):
             query_vars.add(atom.var)
-        elif isinstance(atom, RoleAtom):
-            query_vars.update((atom.src, atom.dst))
-        else:
+        elif isinstance(atom, TestAtom):
             query_vars.update(atom.vars)
+        else:
+            query_vars.update((atom.src, atom.dst))
+            units[i] = _units(atom.path)
+            if all(isinstance(u, NodeTest) for u in units[i]):
+                ends = {find(atom.src), find(atom.dst)}
+                keep = min(ends, key=lambda v: (v not in q.answer_vars, v))
+                for var in ends - {keep}:
+                    alias[var] = keep
+    edge_pairs = {(find(a.vars[0]), find(a.vars[1])) for a in atoms
+                  if isinstance(a, TestAtom) and len(a.vars) == 2}
     fresh_mid = (f"m{i}" for i in itertools.count() if f"m{i}" not in query_vars)
     fresh_rel = (f"e{i}" for i in itertools.count() if f"e{i}" not in query_vars)
 
-    def prefer(var):
-        # Union-find representatives: answer vars first, then query vars,
-        # then generated intermediates; ties break lexicographically.
-        if var in q.answer_vars:
-            rank = 0
-        elif var in query_vars:
-            rank = 1
-        else:
-            rank = 2
-        return (rank, var)
-
-    aliases = _Aliases()
-    role_atoms = sorted((a for a in q.atoms if isinstance(a, RoleAtom)), key=atom_sort_key)
-    other_atoms = sorted((a for a in q.atoms if not isinstance(a, RoleAtom)),
-                         key=atom_sort_key)
-
-    chains = []  # (positions, units) with zero-length units folded via aliases
-    for atom in role_atoms:
-        units = _units(atom.path)
-        rel_units = [u for u in units if u[0] == "rel"]
-        positions = [atom.src]
-        for _ in rel_units:
-            positions.append(next(fresh_mid))
-        positions[-1] = atom.dst if rel_units else positions[0]
-        if not rel_units:
-            aliases.merge(atom.src, atom.dst, prefer)
-        # Walk units, attaching zero-length tests to the current position.
-        tests_at = []
-        index = 0
-        rels = []
-        for unit in units:
-            if unit[0] == "rel":
-                rels.append((positions[index], unit, positions[index + 1]))
-                index += 1
-            else:
-                tests_at.append((positions[index], unit[1]))
-        chains.append((rels, tests_at))
-
-    conditions = []
     patterns = []
     in_pattern = set()
-    edge_test_hosts = {}
-
-    def format_rel(src, unit, dst, rel_var=None):
-        _kind, roles, inverted, star = unit
-        types = "|".join(_ident(r) for r in roles)
-        star_txt = "*0.." if star else ""
-        var_txt = rel_var or ""
-        body = f"[{var_txt}:{types}{star_txt}]"
-        left, right = ("<-", "-") if inverted else ("-", "->")
-        in_pattern.update((aliases.find(src), aliases.find(dst)))
-        return f"({_ident(aliases.find(src))}){left}{body}{right}({_ident(aliases.find(dst))})"
-
-    # Assign relationship variables where an edge data test needs one.
-    edge_tests = [a for a in other_atoms
-                  if isinstance(a, TestAtom) and len(a.vars) == 2]
-    needed_pairs = set()
-    for atom in edge_tests:
-        needed_pairs.add((aliases.find(atom.vars[0]), aliases.find(atom.vars[1])))
-
-    for rels, tests_at in chains:
-        for src, unit, dst in rels:
-            rel_var = None
-            if not unit[3] and len(unit[1]) == 1:
-                base = ((aliases.find(dst), aliases.find(src)) if unit[2]
-                        else (aliases.find(src), aliases.find(dst)))
-                if base in needed_pairs and base not in edge_test_hosts:
-                    rel_var = next(fresh_rel)
-                    edge_test_hosts[base] = rel_var
-            patterns.append(format_rel(src, unit, dst, rel_var))
-        for position, test in tests_at:
-            if TOP not in test.labels:
-                var = aliases.find(position)
-                conditions.append(_label_condition(_ident(var), test.labels))
-
-    for atom in other_atoms:
+    node_tests = []
+    conditions = []
+    hosts = {}  # stored (src, dst) pair -> the relationship variable on it
+    for i, atom in enumerate(atoms):
         if isinstance(atom, ConceptAtom):
             if TOP not in atom.labels:
-                conditions.append(
-                    _label_condition(_ident(aliases.find(atom.var)), atom.labels))
-        elif isinstance(atom, TestAtom) and len(atom.vars) == 1:
-            conditions.append(
-                _test_condition(atom.test, _ident(aliases.find(atom.vars[0]))))
-        elif isinstance(atom, TestAtom):
-            pair = (aliases.find(atom.vars[0]), aliases.find(atom.vars[1]))
-            host = edge_test_hosts.get(pair)
+                conditions.append(_label_condition(_ident(find(atom.var)), atom.labels))
+        elif isinstance(atom, RoleAtom):
+            here = find(atom.src)
+            rels_left = sum(not isinstance(u, NodeTest) for u in units[i])
+            for unit in units[i]:
+                if isinstance(unit, NodeTest):
+                    if TOP not in unit.labels:
+                        node_tests.append(_label_condition(_ident(here), unit.labels))
+                    continue
+                roles, inverted, star = unit
+                rels_left -= 1
+                mid = next(fresh_mid)
+                there = find(atom.dst) if rels_left == 0 else mid
+                stored = (there, here) if inverted else (here, there)
+                rel_var = ""
+                if not star and len(roles) == 1 and stored in edge_pairs and stored not in hosts:
+                    rel_var = hosts[stored] = next(fresh_rel)
+                types = "|".join(_ident(r) for r in roles) + ("*0.." if star else "")
+                left, right = ("<-[", "]-") if inverted else ("-[", "]->")
+                patterns.append(f"({_ident(here)}){left}{rel_var}:{types}{right}({_ident(there)})")
+                in_pattern.update((here, there))
+                here = there
+        elif len(atom.vars) == 1:
+            conditions.append(_test_condition(atom.test, _ident(find(atom.vars[0]))))
+        else:
+            host = hosts.get((find(atom.vars[0]), find(atom.vars[1])))
             if host is None:
                 raise UnsupportedPathError(
                     "an edge data test needs a plain same-direction edge atom "
                     f"between its variables: {atom.vars}")
             conditions.append(_test_condition(atom.test, host))
 
-    for var in sorted({aliases.find(v) for v in query_vars}):
-        if var not in in_pattern:
-            patterns.append(f"({_ident(var)})")
-            in_pattern.add(var)
+    for var in sorted({find(v) for v in query_vars} - in_pattern):
+        patterns.append(f"({_ident(var)})")
 
     if q.answer_vars:
-        returns = ", ".join(
-            f"{_ident(aliases.find(v))} AS c{i}" for i, v in enumerate(q.answer_vars))
+        returns = ", ".join(f"{_ident(find(v))} AS c{i}" for i, v in enumerate(q.answer_vars))
     else:
         returns = "1 AS c0"
         diagnostics.append("nullary query: emitted a constant return column")
     text = "MATCH " + ", ".join(patterns)
-    if conditions:
-        text += " WHERE " + " AND ".join(conditions)
+    if node_tests or conditions:
+        text += " WHERE " + " AND ".join(node_tests + conditions)
     text += f" RETURN DISTINCT {returns}"
     return text
 

@@ -12,6 +12,7 @@ import json
 import urllib.error
 import urllib.request
 
+from .cypher import _ident, _literal
 from .errors import OntopathError
 from .graph import PropertyGraph
 
@@ -61,30 +62,24 @@ def load_graph_into_store(g: PropertyGraph, base_url: str, database: str, auth=N
     """Replace the store contents with g (nodes tagged with `_id`)."""
     statements = ["MATCH (n) DETACH DELETE n"]
     for node in sorted(g.nodes):
-        labels = "".join(f":`{l}`" for l in sorted(g.labels[node]))
+        labels = "".join(f":{_ident(l)}" for l in sorted(g.labels[node]))
         props = dict(g.node_props.get(node, {}))
         props["_id"] = node
         statements.append(f"CREATE (n{labels} {_props_literal(props)})")
     for src, label, dst in sorted(g.edges):
         props = g.edge_props.get((src, dst), {})
         statements.append(
-            "MATCH (a {_id: " + _value_literal(src) + "}), "
-            "(b {_id: " + _value_literal(dst) + "}) "
-            f"CREATE (a)-[:`{label}` {_props_literal(props)}]->(b)"
+            "MATCH (a {_id: " + _literal(src) + "}), "
+            "(b {_id: " + _literal(dst) + "}) "
+            f"CREATE (a)-[:{_ident(label)} {_props_literal(props)}]->(b)"
         )
     run_statements(base_url, database, statements, auth)
-
-
-def _value_literal(value) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    return repr(value)
 
 
 def _props_literal(props) -> str:
     if not props:
         return "{}"
-    inner = ", ".join(f"`{k}`: {_value_literal(v)}" for k, v in sorted(props.items()))
+    inner = ", ".join(f"{_ident(k)}: {_literal(v)}" for k, v in sorted(props.items()))
     return "{" + inner + "}"
 
 

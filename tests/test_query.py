@@ -329,9 +329,12 @@ def test_copies_carry_fields_but_no_stored_values():
     path_to_str(path)
     assert _stored(path) == {"_hash", "_text", "_inv"}
     for other in (copy.copy(path), copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
-        assert other == path and repr(other) == repr(path)
+        # Not repr: a copied frozenset of labels may list them in another
+        # order under some string hash seeds (29, for one).
+        assert other == path
         assert _stored(other) == set()
         assert hash(other) == hash(path)
+        assert path_to_str(other) == path_to_str(path)
 
 
 _PICKLE_UNION = f"""
