@@ -4,8 +4,9 @@ The emittable path fragment is: edges and inverse edges, unions of
 same-direction edges (packed into one relationship pattern), stars over
 those, concatenations of emittable pieces, node tests, and data tests.
 Unions that do not pack into a relationship pattern are distributed into
-separate UNION arms first; anything else raises UnsupportedPathError
-rather than silently approximating.
+separate UNION arms first, after their number is counted without building
+them and checked against MAX_CYPHER_ARMS; anything else raises
+UnsupportedPathError rather than silently approximating.
 
 A path atom is a chain of units: a node test, or one relationship pattern
 given as (roles, inverted, star). Each relationship unit takes a fresh mid
@@ -17,10 +18,11 @@ relationship variable of the first plain single-role edge stored on its pair.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
-from .errors import UnsupportedPathError
+from .errors import BudgetExceededError, UnsupportedPathError
 from .query import (
     C2RPQ,
     Concat,
@@ -41,6 +43,9 @@ from .query import (
     path_to_str,
 )
 from .tbox import TOP
+
+# Emission raises BudgetExceededError before building more UNION arms than this.
+MAX_CYPHER_ARMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,20 @@ def _distribute(path):
             return [path]
         return [alt for branch in path.branches for alt in _distribute(branch)]
     return [path]
+
+
+def _arm_count(path) -> int:
+    """len(_distribute(path)), counted without building the alternatives."""
+    if isinstance(path, Concat):
+        return math.prod(_arm_count(p) for p in path.parts)
+    if isinstance(path, UnionPath) and _edge_union_roles(path) is None:
+        return sum(_arm_count(b) for b in path.branches)
+    return 1
+
+
+def _branch_arm_count(q: C2RPQ) -> int:
+    """len(_distribute_query(q)), counted without building the arms."""
+    return math.prod(_arm_count(a.path) for a in q.atoms if isinstance(a, RoleAtom))
 
 
 def _distribute_query(q: C2RPQ):
@@ -236,11 +255,19 @@ def emit_cypher(u: UC2RPQ) -> CypherQuery:
     """Emit deterministic Cypher for a union of queries.
 
     Branches are sorted by their final text and joined with UNION (which is
-    set-semantic, matching DISTINCT)."""
+    set-semantic, matching DISTINCT).  Raises BudgetExceededError, before
+    building any arm, when the union distributes into more than
+    MAX_CYPHER_ARMS arms."""
+    counts = [_branch_arm_count(member) for member in u.branches]
+    arms = sum(counts)
+    if arms > MAX_CYPHER_ARMS:
+        raise BudgetExceededError(
+            f"emitting needs {arms} UNION arms, more than {MAX_CYPHER_ARMS}")
     diagnostics = []
     branch_texts = set()
-    for member in u.branches:
-        for distributed in _distribute_query(member):
+    for member, count in zip(u.branches, counts):
+        # A branch with one arm is that arm: no union in it distributes.
+        for distributed in _distribute_query(member) if count > 1 else (member,):
             branch_texts.add(_emit_branch(distributed, diagnostics))
     if not branch_texts:
         raise UnsupportedPathError("cannot emit an empty union")

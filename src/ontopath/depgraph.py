@@ -229,13 +229,25 @@ class DependencyGraph:
         return self._witness_labels[axiom_index]
 
     def witness_labels_with(self, axiom_index: int, extra_parent_label: str) -> frozenset:
-        """Witness labels when the parent additionally carries one label."""
+        """Witness labels when the parent additionally carries one label.
+
+        The parent and the witness are closed in turn until neither grows:
+        a label the witness gains can give the parent one through the edge
+        between them, and that label can give the witness another.
+        """
         key = (axiom_index, extra_parent_label)
         hit = self._hypothesis_cache.get(key)
         if hit is None:
             ax = self.tbox.normalized[axiom_index]
-            parent = self._close_labels({ax.lhs, extra_parent_label}, None)
-            hit = frozenset(self._close_labels({ax.filler}, (parent, ax.role)))
+            seed = {ax.lhs, extra_parent_label}
+            while True:
+                parent = self._close_labels(seed, None)
+                hit = frozenset(self._close_labels({ax.filler}, (parent, ax.role)))
+                gained = {sup for sup, filler in self._edges_to_witness[axiom_index]
+                          if filler in hit} - parent
+                if not gained:
+                    break
+                seed = parent | gained
             self._hypothesis_cache[key] = hit
         return hit
 
@@ -288,6 +300,10 @@ class DependencyGraph:
 
     def _eliminate(self, start: str) -> PathExpr:
         outgoing = self._outgoing
+        if start not in outgoing:
+            # Nothing derives the concept: its path is its own node test,
+            # which is what eliminating the lone state would give.
+            return ANY_NODE if start == TOP else NodeTest(frozenset({start}))
         # Breadth-first depths of the states reachable from the start
         # concept; elimination is restricted to them.
         depth = {start: 0}
@@ -447,6 +463,10 @@ def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
         return known
     conjs = g._conjs_by_subsumer
     start = frozenset({name})
+    if name not in conjs:
+        # No conjunction entails the name, so nothing expands {name}.
+        result = g._witness_sets[(name, cap)] = (start,)
+        return result
     visited = {start}
     queue = deque([start])
     while queue:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from itertools import chain
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
@@ -155,6 +156,8 @@ def _check_value(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise GraphFormatError(
             f"property values must be integers, decimals or strings ({where})")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GraphFormatError(f"property values must be finite numbers ({where})")
     return value
 
 

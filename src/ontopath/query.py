@@ -22,7 +22,9 @@ outside the dataclass fields, so equality and repr ignore them, and they
 die with the node; no table outlives a rewriting.  Pickling or copying a
 node carries its fields only, since a string's hash differs between
 processes.  `EdgeStep` and `NodeTest` are cheap to hash and render, and
-keep nothing.
+keep nothing.  Atoms and `C2RPQ`s keep their text (`atom_to_str`,
+`query_to_str`, the keys the rewriter and the emitter sort by) the same
+way; a text does not depend on the hash seed, so a copy may carry it.
 """
 from __future__ import annotations
 
@@ -260,6 +262,8 @@ class ConceptAtom:
     labels: frozenset
     var: str
 
+    _text = None  # shadowed on the instance once computed (see above)
+
     def __post_init__(self):
         object.__setattr__(self, "labels", frozenset(self.labels))
 
@@ -270,17 +274,23 @@ class RoleAtom:
     src: str
     dst: str
 
+    _text = None
+
 
 @dataclass(frozen=True)
 class TestAtom:
     test: object
     vars: tuple
 
+    _text = None
+
 
 @dataclass(frozen=True)
 class C2RPQ:
     answer_vars: tuple
     atoms: frozenset
+
+    _text = None
 
     def __post_init__(self):
         object.__setattr__(self, "answer_vars", tuple(self.answer_vars))
@@ -371,16 +381,22 @@ def path_to_str(p: PathExpr, prec: int = 0) -> str:
 
 
 def atom_to_str(atom) -> str:
+    s = getattr(atom, "_text", None)
+    if s is not None:
+        return s
     if isinstance(atom, ConceptAtom):
         labels = sorted(atom.labels)
         head = labels[0] if len(labels) == 1 else "(" + "|".join(labels) + ")"
-        return f"{head}({atom.var})"
-    if isinstance(atom, RoleAtom):
+        s = f"{head}({atom.var})"
+    elif isinstance(atom, RoleAtom):
         path = path_to_str(atom.path, _PREC_STAR)
-        return f"{path}({atom.src},{atom.dst})"
-    if isinstance(atom, TestAtom):
-        return f"{test_to_str(atom.test)}({','.join(atom.vars)})"
-    raise TypeError(f"not an atom: {atom!r}")
+        s = f"{path}({atom.src},{atom.dst})"
+    elif isinstance(atom, TestAtom):
+        s = f"{test_to_str(atom.test)}({','.join(atom.vars)})"
+    else:
+        raise TypeError(f"not an atom: {atom!r}")
+    object.__setattr__(atom, "_text", s)
+    return s
 
 
 def atom_sort_key(atom):
@@ -389,9 +405,13 @@ def atom_sort_key(atom):
 
 
 def query_to_str(q: C2RPQ) -> str:
-    head = f"q({','.join(q.answer_vars)})"
-    body = ", ".join(atom_to_str(a) for a in sorted(q.atoms, key=atom_sort_key))
-    return f"{head} :- {body}"
+    s = q._text
+    if s is None:
+        head = f"q({','.join(q.answer_vars)})"
+        body = ", ".join(text for _, text in sorted(map(atom_sort_key, q.atoms)))
+        s = f"{head} :- {body}"
+        object.__setattr__(q, "_text", s)
+    return s
 
 
 def rewriting_to_str(u: UC2RPQ) -> str:

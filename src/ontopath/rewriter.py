@@ -6,10 +6,13 @@ The pipeline has three phases:
    satisfied by the anonymous witness of an existential axiom is folded
    into a concept atom on its attachment variable, one variable at a
    time, to fixpoint.
-2. Concept rewriting: every concept atom is replaced, per witness set of
-   each of its labels, by a conjunction of concept-derivation paths with
-   fresh existential endpoints; applied to closure so combinations of
-   replaced atoms are covered.
+2. Concept rewriting: a query's rewritings are the product, over its
+   concept atoms, of each atom's alternatives: the union of its labels'
+   concept-derivation paths (which contains the atom itself and covers
+   every singleton witness set), then the conjunction of paths of each
+   other witness set of a label.  A plain node-test path stays a concept
+   atom, any other gets a fresh existential endpoint; a concept atom
+   implied by another on its variable is dropped first.
 3. Role rewriting: every role occurrence is widened to the union of its
    entailed subroles, giving one query per concept rewriting.  Widening
    only enlarges each relation, so the widened query contains the query it
@@ -23,6 +26,7 @@ which drops queries structurally contained in one already kept.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .depgraph import (
@@ -38,6 +42,7 @@ from .query import (
     C2RPQ,
     ConceptAtom,
     EdgeStep,
+    NodeTest,
     RoleAtom,
     TestAtom,
     UC2RPQ,
@@ -47,6 +52,7 @@ from .query import (
     canon_query,
     query_to_str,
     substitute_role,
+    union_path,
 )
 from .tbox import TOP, Role, TBox, normalize
 
@@ -214,36 +220,51 @@ def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> 
     return sorted(seen, key=query_to_str)
 
 
-def _replace_concept_atom(q: C2RPQ, atom: ConceptAtom, witness_set,
-                          g: DependencyGraph) -> C2RPQ:
-    atoms = set(q.atoms)
-    atoms.discard(atom)
-    fresh = _fresh_vars(q.variables(), "__w")
-    for name in sorted(witness_set):
-        atoms.add(RoleAtom(rewr_concept(name, g), atom.var, next(fresh)))
-    return C2RPQ(q.answer_vars, frozenset(atoms))
+def _atom_alternatives(atom: ConceptAtom, g: DependencyGraph,
+                       budget: RewriteBudget) -> list:
+    """Conjunctions of concept paths, one of which replaces the atom."""
+    labels = sorted(atom.labels)
+    paths = [rewr_concept(label, g) for label in labels]
+    alternatives = [(paths[0] if len(paths) == 1 else union_path(paths),)]
+    for label in labels:
+        for witness_set in witness(label, g, cap=budget.witness_cap):
+            if witness_set != {label}:
+                alternatives.append(
+                    tuple(rewr_concept(name, g) for name in sorted(witness_set)))
+    return alternatives
 
 
 def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> list:
-    stage = list(queries)
-    seen = set(stage)
-    index = 0
-    while index < len(stage):
-        q1 = stage[index]
-        index += 1
+    staged = []
+    for q1 in queries:
+        concepts = [a for a in q1.atoms if isinstance(a, ConceptAtom)]
+        fixed = q1.atoms - set(concepts)
+        # Drop an atom implied by another on its variable with fewer labels.
         concept_atoms = sorted(
-            (a for a in q1.atoms if isinstance(a, ConceptAtom)), key=atom_sort_key)
-        for atom in concept_atoms:
-            for label in sorted(atom.labels):
-                for witness_set in witness(label, g, cap=budget.witness_cap):
-                    emitted = _replace_concept_atom(q1, atom, witness_set, g)
-                    if emitted not in seen:
-                        if len(seen) >= budget.max_queries:
-                            raise BudgetExceededError(
-                                f"more than {budget.max_queries} queries generated")
-                        seen.add(emitted)
-                        stage.append(emitted)
-    return stage
+            (a for a in concepts
+             if not any(b.var == a.var and b.labels < a.labels for b in concepts)),
+            key=atom_sort_key)
+        per_atom = [_atom_alternatives(atom, g, budget) for atom in concept_atoms]
+        if len(staged) + math.prod(map(len, per_atom)) > budget.max_queries:
+            raise BudgetExceededError(
+                f"more than {budget.max_queries} queries generated")
+        taken = q1.variables()
+        for combo in itertools.product(*per_atom):
+            atoms = set(fixed)
+            fresh = _fresh_vars(taken, "__w")
+            for atom, paths in zip(concept_atoms, combo):
+                for path in paths:
+                    if not isinstance(path, NodeTest):
+                        atoms.add(RoleAtom(path, atom.var, next(fresh)))
+                    elif path.labels == atom.labels:
+                        atoms.add(atom)
+                    else:
+                        atoms.add(ConceptAtom(path.labels, atom.var))
+            # A query no atom of which changes is kept as it is, with the
+            # text its sort during clipping left on it.
+            staged.append(q1 if atoms == q1.atoms
+                          else C2RPQ(q1.answer_vars, frozenset(atoms)))
+    return staged
 
 
 def _role_widenings(g: DependencyGraph) -> dict:

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,8 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from ontopath.cypher import emit_cypher
-from ontopath.errors import UnsupportedPathError
+from corpus import random_instance
+
+from ontopath import cypher
+from ontopath.cypher import (
+    MAX_CYPHER_ARMS,
+    _arm_count,
+    _branch_arm_count,
+    _distribute,
+    _distribute_query,
+    emit_cypher,
+)
+from ontopath.errors import BudgetExceededError, UnsupportedPathError
 from ontopath.query import (
     C2RPQ,
     ConceptAtom,
@@ -70,6 +81,43 @@ def test_union_of_mixed_shapes_distributes_into_branches():
     assert ("MATCH (x)-[:enrolledIn]->(`__w0`) WHERE `__w0`:Course "
             "RETURN DISTINCT x AS c0") not in branches  # w keeps its own name
     assert any("enrolledIn" in b and ":Course" in b for b in branches)
+
+
+def _mixed():
+    return union_path([EdgeStep(Role("r")), EdgeStep(Role("s", True))])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_arm_count_of_nested_mixed_direction_unions(k):
+    nested = EdgeStep(Role("r"))
+    for _ in range(k):
+        nested = union_path([EdgeStep(Role("s", True)),
+                             concat_path([EdgeStep(Role("r")), nested])])
+    assert _arm_count(nested) == len(_distribute(nested)) == k + 1
+    chain = concat_path([_mixed()] * k)
+    assert _arm_count(chain) == len(_distribute(chain)) == 2 ** k
+    # A union of same-direction edges packs into one relationship pattern.
+    packed = union_path([EdgeStep(Role("r")), EdgeStep(Role("s"))])
+    assert _arm_count(concat_path([packed] * k)) == 1
+
+
+def test_arm_count_equals_distributed_arms_on_corpus():
+    rng = random.Random(7)
+    for _ in range(200):
+        t, _g, q = random_instance(rng)
+        for branch in rewrite_ncq(q, t).to_uc2rpq().branches:
+            assert _branch_arm_count(branch) == len(_distribute_query(branch))
+
+
+def test_emission_past_the_arm_cap_raises_before_distributing(monkeypatch):
+    def refuse(q):
+        raise AssertionError("distributed past the cap")
+
+    monkeypatch.setattr(cypher, "_distribute_query", refuse)
+    q = C2RPQ(("x",), frozenset({RoleAtom(concat_path([_mixed()] * 20), "x", "y")}))
+    assert 2 ** 20 > MAX_CYPHER_ARMS
+    with pytest.raises(BudgetExceededError, match=str(2 ** 20)):
+        emit_cypher(single(q))
 
 
 def test_node_data_test_condition():

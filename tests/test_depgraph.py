@@ -144,6 +144,14 @@ def test_rewr_concept_base_case():
     assert rewr_concept("B", g) == NodeTest(frozenset({"B"}))
 
 
+def test_an_underived_concept_is_its_own_node_test_and_witness_set():
+    g = dep("exists r . C <= A\nB <= A\nC & D <= E")
+    for name in ("B", "C", "D"):
+        assert rewr_concept(name, g) == NodeTest(frozenset({name}))
+        assert witness(name, g) == (frozenset({name}),)
+    assert path_to_str(rewr_concept("A", g)) == "<A|B>|r.<C>"
+
+
 def test_rewr_concept_union_of_tests_and_role_branch():
     g = dep("GradStudent <= Student\nexists enrolledIn . Course <= Student")
     path = rewr_concept("Student", g)

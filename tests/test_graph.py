@@ -64,6 +64,13 @@ def test_load_graph_props_queryable():
 def test_load_graph_rejects_boolean_props():
     with pytest.raises(GraphFormatError):
         load_graph('{"type":"node","id":"a","props":{"ok":true}}')
+    # Nor non-finite numbers, which Cypher would read as variable names.
+    for value in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(GraphFormatError, match="finite"):
+            load_graph(f'{{"type":"node","id":"a","props":{{"w":{value}}}}}')
+        with pytest.raises(GraphFormatError, match="finite"):
+            load_graph('{"type":"node","id":"a"}\n'
+                       f'{{"type":"edge","src":"a","label":"r","dst":"a","props":{{"w":{value}}}}}')
 
 
 def test_load_graph_reports_line_numbers():
@@ -107,6 +114,12 @@ def test_csv_rejects_malformed_props_json():
     with pytest.raises(GraphFormatError) as err:
         load_graph_csv("id,props\na,{age: 41}\n", "")
     assert err.value.line == 2
+    # JSON's NaN and Infinity parse, but are not finite property values.
+    for value in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(GraphFormatError, match="finite"):
+            load_graph_csv(f'id,props\na,"{{""w"": {value}}}"\n', "")
+        with pytest.raises(GraphFormatError, match="finite"):
+            load_graph_csv("id\na\n", f'src,label,dst,props\na,r,a,"{{""w"": {value}}}"\n')
 
 
 @pytest.mark.parametrize("labels", ['"AB"', '["A", 1]', '{"A": 1}'])

@@ -366,3 +366,15 @@ def test_a_pickled_union_is_found_under_another_hash_seed():
                            capture_output=True, text=True, env=dict(env, PYTHONHASHSEED="1"))
     assert found.returncode == 0, found.stderr
     assert found.stdout == "found\n"
+
+
+def test_queries_and_atoms_keep_their_text_outside_equality():
+    q = parse_query("q(x) :- B(x), r(x,y), A(x)")
+    text = query_to_str(q)
+    fresh = parse_query("q(x) :- A(x), B(x), r(x,y)")
+    assert text == "q(x) :- A(x), B(x), r(x,y)"
+    assert q == fresh and hash(q) == hash(fresh) and "_text" not in repr(q)
+    assert query_to_str(fresh) == text
+    for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert other == q and hash(other) == hash(q)
+        assert query_to_str(other) == text

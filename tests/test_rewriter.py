@@ -5,6 +5,7 @@ import pytest
 from oracles import make_graph, random_graph
 
 from ontopath.chase import certain_answers
+from ontopath.cypher import emit_cypher
 from ontopath.depgraph import build_dependency_graph
 from ontopath.errors import BudgetExceededError
 from ontopath.graph import eval_query
@@ -139,9 +140,10 @@ def test_clipping_hypothesis_budget_raises():
 def test_query_budget_bounds_the_union(prune):
     t = parse_tbox("B & C <= A\nD & E <= A\nexists r . F <= A")
     q = parse_query("q(x) :- A(x)")
-    assert len(rewrite_ncq(q, t, budget=RewriteBudget(max_queries=4), prune=prune)) == 4
+    # A(x) has three alternatives: its concept path, {B, C} and {D, E}.
+    assert len(rewrite_ncq(q, t, budget=RewriteBudget(max_queries=3), prune=prune)) == 3
     with pytest.raises(BudgetExceededError):
-        rewrite_ncq(q, t, budget=RewriteBudget(max_queries=3), prune=prune)
+        rewrite_ncq(q, t, budget=RewriteBudget(max_queries=2), prune=prune)
 
 
 # -- rewrite_ncq -----------------------------------------------------------------
@@ -180,6 +182,56 @@ def test_role_widening_yields_one_branch_per_query():
                        [("a", "mentors", "b"), ("b", "attends", "c")])
     assert certain_answers(q, graph, t, depth=1) == {("a", "c")}
     assert eval_query(out.to_uc2rpq(), graph) == {("a", "c")}
+
+
+def test_concept_atom_is_replaced_by_its_concept_path():
+    """The concept path accepts the zero-length walk at an A node, so it
+    contains A(x), which is not staged beside it."""
+    out = rewrite_ncq(parse_query("q(x) :- A(x)"), parse_tbox("exists r . C <= A"),
+                      prune=False)
+    assert branches(out) == {"q(x) :- (<A>|r.<C>)(x,__w0)"}
+
+
+def test_concept_atoms_are_replaced_together():
+    # One query with both atoms replaced, not one per subset of them.
+    q = parse_query("q(x) :- A(x), B(x)")
+    t = parse_tbox("exists r . C <= A\nexists s . D <= B")
+    out = rewrite_ncq(q, t, prune=False)
+    assert branches(out) == {"q(x) :- (<A>|r.<C>)(x,__w0), (<B>|s.<D>)(x,__w1)"}
+
+
+def test_node_test_concept_path_stays_a_concept_atom():
+    out = rewrite_ncq(parse_query("q(x) :- A(x)"), parse_tbox("B <= A"), prune=False)
+    assert branches(out) == {"q(x) :- (A|B)(x)"}
+
+
+def test_implied_concept_atom_is_dropped_before_rewriting():
+    # Benchmark instance sweep-245: (A6|A7)(x) is implied by A7(x).
+    t = parse_tbox(
+        "A3 <= A1\nexists inv(r0) . A2 <= A3\nA6 & A2 <= A6\nA4 & A3 <= A1\n"
+        "A7 <= A2\nexists inv(r3) . A3 <= A0\nA4 <= A2\n"
+        "exists inv(r3) . A0 <= A4\nexists inv(r0) . A0 <= A5\n"
+        "A4 <= exists inv(r3) . A2\nA4 <= A0\nA6 <= A1")
+    q = parse_query("q(x) :- r0(x,x), (A6|A7)(x), A7(x), inv(r0)(x,v1)")
+    out = rewrite_ncq(q, t)
+    assert branches(out) == {"q(x) :- A7(x), inv(r0)(x,v1), r0(x,x)"}
+    assert emit_cypher(out.to_uc2rpq()).text == (
+        "MATCH (x)<-[:r0]-(v1), (x)-[:r0]->(x) WHERE x:A7 RETURN DISTINCT x AS c0\n")
+
+
+def test_parent_and_witness_labels_close_to_a_fixpoint():
+    """A0 on the parent gives the witness A5, which gives the parent A11,
+    which gives the witness A6: clipping needs the hypothesis A0 to close
+    both sides until neither grows."""
+    t = parse_tbox(
+        "A3 <= exists r1 . A2\nr1 <= r0\nr0 <= r2\nexists inv(r2) . A0 <= A5\n"
+        "exists r2 . A5 <= A11\nexists inv(r1) . A11 <= A6")
+    q = parse_query("q(x) :- r1(x,y), A6(y)")
+    graph = make_graph({"n0": ["A0", "A3"]})
+    out = rewrite_ncq(q, t)
+    assert "q(x) :- A0(x), A3(x)" in branches(out)
+    assert certain_answers(q, graph, t, depth=3) == {("n0",)}
+    assert eval_query(out.to_uc2rpq(), graph) == {("n0",)}
 
 
 def test_iterated_clipping_through_two_levels():
