@@ -4,8 +4,8 @@ Evaluation follows set semantics over mappings: a path expression denotes a
 binary relation over nodes, and node tests denote self-pairs.  Concept
 atoms and node tests read the graph's label index instead of scanning
 every node, and a plain edge step's pairs are the graph's own edge index.
-Data tests are compiled once per test into a predicate over a property
-map.
+Data tests are compiled once per evaluation into a predicate over a
+property map.
 
 One walker, `_walk_ends`, evaluates every path form a node set at a time:
 a concatenation runs from one end, and a star is a breadth-first search
@@ -15,20 +15,31 @@ link each node that starts a walk to the ends of the walks forward from
 it.
 
 Query answers are projections of the natural join of the concept and role
-atom relations.  A relation is a tuple of variables plus rows that are
-plain tuples of nodes, in that variable order.  A role atom's rows are its
-path's pairs, except when one endpoint dangles: it is no answer variable
-and occurs in no other atom, data tests included.  Such an atom (with a
-path other than an edge step) is a unary relation over its other
-endpoint, the walker's node set from the dangling end.  Every concept and
-role relation is computed before any join, so an empty one ends
-evaluation at once.  The joins start from the smallest relation and then
-take, each time, the smallest relation that shares a variable with the
-rows so far, as a hash join on the shared variables (the smallest of all,
-as a cross product, only when none shares one).  Data tests come last
+atom relations.  A unary relation's rows are a set of nodes and a binary
+one's a set of node pairs, often the graph's own index; the rows joined
+so far are plain tuples of nodes, in the order of their variables.  A
+role atom's rows are its path's pairs, except when one endpoint dangles:
+it is no answer variable and occurs in no other atom, data tests
+included.  Such an atom (with a path other than an edge step) is a unary
+relation over its other endpoint, the walker's node set from the
+dangling end.
+
+Every relation is built before any join, so an empty one ends evaluation
+at once.  Concept and edge-step atoms come first, cheapest first by the
+size of the label- and edge-index entries they read, and an entry of
+size 0 ends evaluation before anything is built; composite paths follow.
+Ties go by `atom_sort_key`, so what gets built never follows string
+hashes.  The joins start from the smallest relation and then take, each
+time, the smallest relation that shares a variable with the rows so far
+(the smallest of all, as a cross product, only when none shares one).
+When the rows bind all of a relation's variables, the join keeps the
+rows found in the relation's set; otherwise it hashes the smaller side
+on the shared variable and streams the larger one.  Data tests come last
 and keep the rows whose bound node, or bound endpoint pair, satisfies
-them.  The branches of a union share one memo table of path relations,
-dangling atoms' node sets and edge maps.
+them; rows over just the test's two variables, in its order, are looked
+up as they stand.  Answers in the rows' own variable order are the set of
+the rows.  The branches of a union share one memo table of path
+relations, dangling atoms' node sets, edge maps and compiled tests.
 """
 from __future__ import annotations
 
@@ -37,6 +48,7 @@ import io
 import json
 import math
 from itertools import chain
+from sys import intern
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from .errors import GraphFormatError
@@ -55,6 +67,7 @@ from .query import (
     TestOr,
     UC2RPQ,
     UnionPath,
+    atom_sort_key,
     atom_vars,
 )
 from .tbox import TOP
@@ -97,15 +110,16 @@ class PropertyGraph:
             if endpoint not in self.labels:
                 raise GraphFormatError(f"edge endpoint {endpoint!r} is not a node")
         self.edges.add((src, label, dst))
-        self._pairs_by_label.setdefault(label, set()).add((src, dst))
+        pair = (src, dst)  # one tuple for the pair index and the property map
+        self._pairs_by_label.setdefault(label, set()).add(pair)
         if props:
-            stored = self.edge_props.get((src, dst), _NO_PROPS)
+            stored = self.edge_props.get(pair, _NO_PROPS)
             for key, value in props.items():
                 if key in stored and stored[key] != value:
                     raise GraphFormatError(
                         f"conflicting property {key!r} on parallel edges {src!r}->{dst!r}")
             # A new map, never the stored one: copies share property maps.
-            self.edge_props[(src, dst)] = {**stored, **props}
+            self.edge_props[pair] = {**stored, **props}
 
     def add_label(self, node_id, label):
         self.labels[node_id].add(label)
@@ -134,6 +148,14 @@ class PropertyGraph:
             return self._nodes_by_label.get(label, ())
         return set().union(*(self._nodes_by_label.get(label, ()) for label in labels))
 
+    def index_size(self, labels) -> int:
+        """How many entries `nodes_with(labels)` reads from the label index,
+        without building anything: 0 exactly when it returns no node."""
+        if TOP in labels:
+            return len(self.labels)
+        index = self._nodes_by_label
+        return sum(len(index.get(label, ())) for label in labels)
+
     def node_prop(self, node_id, key):
         return self.node_props.get(node_id, {}).get(key)
 
@@ -161,20 +183,24 @@ def _check_value(value, where):
     return value
 
 
+# The loaders intern node ids, labels and property keys: each line or row is
+# parsed on its own, so every edge would otherwise hold its own copy of each.
+
+
 def _check_props(props, where):
     if not isinstance(props, dict):
         raise GraphFormatError(f"props must be an object ({where})")
-    return {k: _check_value(v, where) for k, v in props.items()}
+    return {intern(k): _check_value(v, where) for k, v in props.items()}
 
 
 def _node_ref(record, key, kind, lineno):
     """A JSONL node id, edge source or edge target: a string, or an integer
-    read as its decimal string."""
+    read as its decimal string; interned."""
     value = record.get(key)
     if isinstance(value, str):
-        return value
+        return intern(value)
     if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
+        return intern(str(value))
     if key not in record:
         raise GraphFormatError(f"{kind} record needs {key!r}", lineno)
     raise GraphFormatError(f"{kind} {key!r} must be a string or an integer", lineno)
@@ -201,7 +227,7 @@ def load_graph(text: str) -> PropertyGraph:
                 raise GraphFormatError("labels must be a list of strings", lineno)
             g.add_node(
                 _node_ref(record, "id", "node", lineno),
-                labels,
+                map(intern, labels),
                 _check_props(record.get("props", {}), f"line {lineno}"),
             )
         elif record["type"] == "edge":
@@ -216,7 +242,7 @@ def load_graph(text: str) -> PropertyGraph:
                                    lineno)
         dst = _node_ref(record, "dst", "edge", lineno)
         try:
-            g.add_edge(src, label, dst,
+            g.add_edge(src, intern(label), dst,
                        _check_props(record.get("props", {}), f"line {lineno}"))
         except GraphFormatError as exc:
             raise GraphFormatError(str(exc), lineno) from None
@@ -247,10 +273,10 @@ def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
     """
     g = PropertyGraph()
     for row, props in _csv_records(nodes_text, "node", ("id",)):
-        labels = [l for l in (row.get("labels") or "").split(";") if l]
-        g.add_node(row["id"], labels, _check_props(props, f"node {row['id']}"))
+        labels = [intern(l) for l in (row.get("labels") or "").split(";") if l]
+        g.add_node(intern(row["id"]), labels, _check_props(props, f"node {row['id']}"))
     for row, props in _csv_records(edges_text, "edge", ("src", "label", "dst")):
-        g.add_edge(row["src"], row["label"], row["dst"],
+        g.add_edge(intern(row["src"]), intern(row["label"]), intern(row["dst"]),
                    _check_props(props, f"edge {row['src']}->{row['dst']}"))
     return g
 
@@ -387,15 +413,17 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
 
 
 def _relation(atom, g: PropertyGraph, cache):
-    """(variables, rows) of a concept or role atom; rows are node tuples."""
+    """(variables, rows) of a concept or role atom.  A unary relation's rows
+    are a set of nodes and a binary one's a set of node pairs; either may
+    be the graph's index or a cached value: read it, do not change it."""
     if isinstance(atom, ConceptAtom):
-        return (atom.var,), [(n,) for n in g.nodes_with(atom.labels)]
+        return (atom.var,), g.nodes_with(atom.labels)
     if isinstance(atom, RoleAtom):
         pairs = cache.get(atom.path)
         if pairs is None:
             pairs = path_pairs(atom.path, g, cache)
         if atom.src == atom.dst:
-            return (atom.src,), [(u,) for u, v in pairs if u == v]
+            return (atom.src,), {u for u, v in pairs if u == v}
         return (atom.src, atom.dst), pairs
     raise TypeError(f"not an atom: {atom!r}")
 
@@ -405,7 +433,7 @@ def _dangling_relation(atom, g: PropertyGraph, cache, seen):
     of them dangles, else None.  `seen` lists every variable occurrence in
     the head and in the atoms, data tests included: an endpoint listed once
     is no answer variable and occurs in no other atom, so the rows are just
-    the nodes at the atom's other end."""
+    the set of nodes at the atom's other end."""
     if seen.count(atom.dst) == 1:
         forward, kept = False, atom.src
     elif seen.count(atom.src) == 1:
@@ -415,32 +443,77 @@ def _dangling_relation(atom, g: PropertyGraph, cache, seen):
     key = (atom.path, forward)
     rows = cache.get(key)
     if rows is None:
-        rows = cache[key] = [(n,) for n in _walk_ends(atom.path, g, None, forward, cache)]
+        rows = cache[key] = _walk_ends(atom.path, g, None, forward, cache)
     return (kept,), rows
 
 
 def _hash_join(variables, rows, relation):
-    """Join rows over `variables` with a relation of one or two variables."""
+    """Join rows over `variables` with a relation as `_relation` gives it.
+
+    When the rows bind every variable of the relation, the join is a
+    semi-join: it keeps the rows whose values are in the relation's set.
+    When they bind one of a binary relation's two, the smaller side is
+    hashed on that variable and the larger one streamed past it."""
     rel_vars, rel_rows = relation
-    if not variables:
+    if len(rel_vars) == 1:
+        if rel_vars[0] in variables:
+            i = variables.index(rel_vars[0])
+            return variables, [row for row in rows if row[i] in rel_rows]
+        return variables + rel_vars, [row + (node,) for row in rows for node in rel_rows]
+    src, dst = rel_vars
+    if src in variables:
+        if dst in variables:
+            key = itemgetter(variables.index(src), variables.index(dst))
+            return variables, [row for row in rows if key(row) in rel_rows]
+        shared, new = 0, 1
+    elif dst in variables:
+        shared, new = 1, 0
+    elif variables:
+        return variables + rel_vars, [row + pair for row in rows for pair in rel_rows]
+    else:
         return rel_vars, rel_rows
-    shared = [v for v in rel_vars if v in variables]
-    new = [i for i, v in enumerate(rel_vars) if v not in variables]
-    variables += tuple(rel_vars[i] for i in new)
-    if not shared:
-        return variables, [row + add for row in rows for add in rel_rows]
-    # One variable gives its value as the key; two give a tuple.
-    rel_key = itemgetter(*(rel_vars.index(v) for v in shared))
-    row_key = itemgetter(*(variables.index(v) for v in shared))
-    if not new:
-        keys = set(map(rel_key, rel_rows))
-        return variables, [row for row in rows if row_key(row) in keys]
-    (position,) = new  # two variables, one of them shared
+    variables += (rel_vars[new],)
+    i = variables.index(rel_vars[shared])
     index = {}
-    for add in rel_rows:
-        index.setdefault(rel_key(add), []).append(add[position])
-    return variables, [row + (node,) for row in rows
-                       for node in index.get(row_key(row), ())]
+    if len(rows) >= len(rel_rows):
+        for pair in rel_rows:
+            index.setdefault(pair[shared], []).append(pair[new])
+        return variables, [row + (node,) for row in rows for node in index.get(row[i], ())]
+    if len(variables) == 2:
+        # One-node rows are their own keys, and a matching pair is a new row.
+        keys = {row[0] for row in rows}
+        if shared:
+            return variables, [(v, u) for u, v in rel_rows if v in keys]
+        return variables, [pair for pair in rel_rows if pair[0] in keys]
+    for row in rows:
+        index.setdefault(row[i], []).append(row)
+    return variables, [row + (pair[new],) for pair in rel_rows
+                       for row in index.get(pair[shared], ())]
+
+
+def _in_build_order(atoms, g: PropertyGraph):
+    """The order in which `_eval_branch` builds the atoms' relations, or
+    None when an index read shows that one of them is empty.
+
+    Concept and edge-step atoms come first, cheapest first by the size of
+    the label- or edge-index entries they read, found without building
+    anything; composite paths follow.  Ties go by `atom_sort_key`, so the
+    relations built never follow string hashes."""
+    indexed, composite = [], []
+    for atom in atoms:
+        if isinstance(atom, ConceptAtom):
+            size = g.index_size(atom.labels)
+        elif isinstance(atom.path, EdgeStep):
+            size = len(g.pairs(atom.path.role.name))
+        else:
+            composite.append(atom)
+            continue
+        if not size:
+            return None
+        indexed.append((size, atom))
+    indexed.sort(key=lambda entry: (entry[0], atom_sort_key(entry[1])))
+    composite.sort(key=atom_sort_key)
+    return [atom for _, atom in indexed] + composite
 
 
 def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
@@ -450,6 +523,10 @@ def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
     unbound = {v for atom in tests for v in atom.vars}.difference(*map(atom_vars, atoms))
     if unbound:
         raise ValueError(f"variables occur only in data tests: {', '.join(sorted(unbound))}")
+    if len(atoms) > 1:
+        atoms = _in_build_order(atoms, g)
+        if atoms is None:
+            return set()
     seen = None  # variable occurrences, listed at the first composite path
     relations = []
     for atom in atoms:
@@ -477,14 +554,24 @@ def _eval_branch(q: C2RPQ, g: PropertyGraph, cache) -> set:
         if not rows:
             return set()
     for atom in tests:
-        ends = itemgetter(*(variables.index(v) for v in atom.vars))
-        holds = compile_test(atom.test)
+        holds = cache.get(atom.test)
+        if holds is None:
+            holds = cache[atom.test] = compile_test(atom.test)
         if len(atom.vars) == 1:
-            rows = [row for row in rows if holds(g.node_props[ends(row)])]
+            i = variables.index(atom.vars[0])
+            rows = [row for row in rows if holds(g.node_props[row[i]])]
+            continue
+        props = g.edge_props
+        if atom.vars == variables:
+            # Each row is the test's endpoint pair itself.
+            rows = [row for row in rows if holds(props.get(row, _NO_PROPS))]
         else:
-            rows = [row for row in rows if holds(g.edge_props.get(ends(row), _NO_PROPS))]
+            ends = itemgetter(*map(variables.index, atom.vars))
+            rows = [row for row in rows if holds(props.get(ends(row), _NO_PROPS))]
     if not q.answer_vars:
         return {()} if rows else set()
+    if q.answer_vars == variables:
+        return set(rows)
     if len(q.answer_vars) == 1:
         position = variables.index(q.answer_vars[0])
         return {(row[position],) for row in rows}
@@ -496,8 +583,9 @@ def eval_query(q, g: PropertyGraph) -> set:
 
     Raises ValueError when a data-test variable occurs in no other atom.
     """
-    # One memo table, shared by the branches of a union: path -> pairs, and,
-    # under tuple keys, dangling atoms' rows and `_walk_ends`'s edge maps.
+    # One memo table, shared by the branches of a union: path -> pairs, data
+    # test -> predicate, and, under tuple keys, dangling atoms' node sets
+    # and `_walk_ends`'s edge maps.
     cache = {}
     if isinstance(q, UC2RPQ):
         out = set()

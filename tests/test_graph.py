@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +156,27 @@ def test_load_graph_reads_integer_node_references_as_strings():
     g = load_graph('{"type":"node","id":1}\n{"type":"edge","src":1,"label":"r","dst":"1"}')
     assert set(g.nodes) == {"1"}
     assert g.pairs("r") == {("1", "1")}
+
+
+@pytest.mark.parametrize("loader", ["jsonl", "csv"])
+def test_loaders_keep_one_copy_of_each_name(loader):
+    if loader == "jsonl":
+        g = load_graph('{"type":"node","id":"a","labels":["A"]}\n{"type":"node","id":"b"}\n'
+                       '{"type":"edge","src":"a","label":"r","dst":"b","props":{"w":1}}\n'
+                       '{"type":"edge","src":"b","label":"r","dst":"a","props":{"w":2}}\n')
+    else:
+        g = load_graph_csv("id,labels\na,A\nb,\n",
+                           'src,label,dst,props\na,r,b,"{""w"": 1}"\nb,r,a,"{""w"": 2}"\n')
+    ids = {node: node for node in g.nodes}
+    pairs = {pair: pair for pair in g.pairs("r")}
+    for pair in g.edge_props:
+        # The property map's key is the pair index's own tuple, of node ids.
+        assert pair is pairs[pair]
+        assert all(end is ids[end] for end in pair)
+    keys = [key for props in g.edge_props.values() for key in props]
+    assert keys == ["w", "w"] and keys[0] is keys[1]
+    assert {label for _src, label, _dst in g.edges} == {"r"}
+    assert len({id(label) for _src, label, _dst in g.edges}) == 1
 
 
 def test_jsonl_round_trip():
@@ -328,17 +353,95 @@ def test_union_branches_share_one_path_cache(monkeypatch):
     assert calls.count(shared) == 1
 
 
+def _index_snapshot(g):
+    return ({n: set(ls) for n, ls in g.labels.items()}, set(g.edges),
+            {label: set(pairs) for label, pairs in g._pairs_by_label.items()},
+            {label: set(nodes) for label, nodes in g._nodes_by_label.items()},
+            {pair: dict(props) for pair, props in g.edge_props.items()})
+
+
 def test_evaluation_leaves_the_graph_indexes_unchanged():
-    g = make_graph({"a": ["A"], "b": []}, [("a", "r", "b"), ("b", "r", "a")])
-    edges, pairs, labelled = set(g.edges), set(g.pairs("r")), set(g.nodes_with({"A"}))
-    assert path_pairs(EdgeStep(Role("r")), g) == pairs
-    for text in ("q(x,y) :- r(x,y)", "q(y,x) :- r(x,y)", "q(x) :- r(x,y), A(x)",
-                 "q(x) :- (r.<A>)(x,w)", "q(x) :- (r*.<A>)(w,x)", "q() :- r(x,y)"):
-        answers = eval_query(parse_query(text, extended=True), g)
-        assert answers
-        answers.clear()
-        answers.add(("z", "z"))
-    assert (g.edges, g.pairs("r"), set(g.nodes_with({"A"}))) == (edges, pairs, labelled)
+    # Rows and answers are often the graph's own index sets, or built from
+    # them; an answer set a caller changes must share no storage with them.
+    g = make_graph({"a": ["A"], "b": ["A"], "c": []},
+                   [("a", "r", "b"), ("b", "r", "a"), ("b", "r", "c"), ("c", "r", "c")],
+                   edge_props={("a", "b"): {"w": 2}, ("b", "a"): {"w": 3},
+                               ("c", "c"): {"w": 4}})
+    before = _index_snapshot(g)
+    assert path_pairs(EdgeStep(Role("r")), g) == before[2]["r"]
+    for text in (
+        "q(x,y) :- r(x,y)",                     # the edge index is the answer
+        "q(y,x) :- r(x,y)",                     # projected in another order
+        "q(x,y) :- inv(r)(x,y)",                # a cached inverse
+        "q(x,y) :- r(x,y), w>1(x,y)",           # rows filtered as endpoint pairs
+        "q(x,y) :- r(x,y), w>1(y,x)",           # a test against the edge
+        "q(x) :- A(x)",                         # the label index is the answer
+        "q(x) :- r(x,y), A(x)",
+        "q(x,y) :- A(x), r(x,y)",               # one-node rows, source shared
+        "q(x,y) :- A(y), r(x,y)",               # one-node rows, target shared
+        "q(x,y) :- r(x,y), r(y,x)",             # a semi-join on both variables
+        "q(x,y) :- A(x), A(y)",                 # a cross product
+        "q(x) :- r(x,x)",                       # a self-loop
+        "q(x) :- (r.<A>)(x,w)",                 # a dangling atom's node set
+        "q(x) :- (r*.<A>)(w,x)",
+        "q(x,y) :- (r.r*)(x,y)",                # a walked path's pairs
+        "q() :- r(x,y)",
+    ):
+        q = parse_query(text, extended=True)
+        for query in (q, UC2RPQ(q.answer_vars, (q,))):
+            answers = eval_query(query, g)
+            expected = set(answers)
+            assert expected, text
+            answers.clear()
+            answers.add(("z", "z"))
+            assert eval_query(query, g) == expected, text
+            assert _index_snapshot(g) == before, text
+
+
+_CALL_TRACE = """
+from ontopath import graph
+from ontopath.query import UC2RPQ, parse_query, path_to_str
+from oracles import make_graph
+
+calls = []
+
+def traced(name, fn):
+    def wrapper(path, *args):
+        calls.append(f"{name} {path_to_str(path)}")
+        return fn(path, *args)
+    return wrapper
+
+graph.path_pairs = traced("path_pairs", graph.path_pairs)
+graph._walk_ends = traced("_walk_ends", graph._walk_ends)
+g = make_graph({"a": ["A"], "b": ["B"], "c": ["A", "B"]},
+               [("a", "r", "b"), ("b", "s", "c"), ("c", "s", "a"), ("c", "r", "c")])
+union = UC2RPQ(("x",), tuple(parse_query(text, extended=True) for text in (
+    # t has no edges: its empty relation must end the branch unwalked.
+    "q(x) :- (r.s*)(x,y), t(x,y), A(x)",
+    "q(x) :- inv(r)(x,y), B(x), (s.s*)(x,z), (r*.s)(y,z), A(z)",
+)))
+print(sorted(graph.eval_query(union, g)))
+# A walk takes node sets in hash order, so the calls are compared sorted.
+print("\\n".join(sorted(calls)))
+"""
+
+
+def test_relations_built_are_independent_of_hash_seed():
+    # Relations are built in an order that does not follow frozenset
+    # iteration, so the path relations an evaluation walks, and the
+    # per-layer counts of the traced benchmark, cannot move with string hashes.
+    root = Path(__file__).parent.parent
+    pythonpath = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-c", _CALL_TRACE],
+                              capture_output=True, text=True, check=True, env=env)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    answers, *calls = outputs[0].splitlines()
+    assert answers == "[('b',), ('c',)]"
+    assert calls and not any("r.s*" in call for call in calls)
 
 
 # -- equivalence with the brute-force query oracle ----------------------------
@@ -391,6 +494,16 @@ _TEST_QUERIES = [
     # a self-loop, and a nullary query whose atom dangles at both ends
     ("q(x) :- (r.s*)(x,x)", True),
     ("q() :- (r.s*.<B>)(x,y)", True),
+    # answers in another order than the rows' variables
+    ("q(y,x) :- r(x,y)", False),
+    # an edge test whose variables run against the edge atom
+    ("q(x,y) :- r(x,y), w>10(y,x)", False),
+    # a unary relation joined on the second column of a binary one
+    ("q(x) :- B(y), r(x,y)", False),
+    # two atoms sharing both variables, in opposite directions
+    ("q(x,y) :- r(x,y), s(y,x)", False),
+    # a cross product of two unary relations
+    ("q(x,y) :- A(x), B(y)", True),
 ]
 
 
