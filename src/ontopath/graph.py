@@ -48,7 +48,6 @@ import io
 import json
 import math
 from itertools import chain
-from sys import intern
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from .errors import GraphFormatError
@@ -137,24 +136,23 @@ class PropertyGraph:
     def pairs(self, label) -> set:
         return self._pairs_by_label.get(label, set())
 
+    def label_entries(self, labels) -> list:
+        """The label-index entries whose union is the nodes carrying at
+        least one of `labels`: every node when one of them is TOP.  They
+        are the index's own sets: read them, do not change them."""
+        if TOP in labels:
+            return [self.labels.keys()]
+        index = self._nodes_by_label
+        return [index.get(label, ()) for label in labels]
+
     def nodes_with(self, labels):
         """The nodes carrying at least one of `labels`, every node when one
         of them is TOP.  The result may be the index's own set: read it,
         do not change it."""
-        if TOP in labels:
-            return self.labels.keys()
-        if len(labels) == 1:
-            (label,) = labels
-            return self._nodes_by_label.get(label, ())
-        return set().union(*(self._nodes_by_label.get(label, ()) for label in labels))
-
-    def index_size(self, labels) -> int:
-        """How many entries `nodes_with(labels)` reads from the label index,
-        without building anything: 0 exactly when it returns no node."""
-        if TOP in labels:
-            return len(self.labels)
-        index = self._nodes_by_label
-        return sum(len(index.get(label, ())) for label in labels)
+        entries = self.label_entries(labels)
+        if len(entries) == 1:
+            return entries[0]
+        return set().union(*entries)
 
     def node_prop(self, node_id, key):
         return self.node_props.get(node_id, {}).get(key)
@@ -183,24 +181,20 @@ def _check_value(value, where):
     return value
 
 
-# The loaders intern node ids, labels and property keys: each line or row is
-# parsed on its own, so every edge would otherwise hold its own copy of each.
-
-
 def _check_props(props, where):
     if not isinstance(props, dict):
         raise GraphFormatError(f"props must be an object ({where})")
-    return {intern(k): _check_value(v, where) for k, v in props.items()}
+    return {k: _check_value(v, where) for k, v in props.items()}
 
 
 def _node_ref(record, key, kind, lineno):
     """A JSONL node id, edge source or edge target: a string, or an integer
-    read as its decimal string; interned."""
+    read as its decimal string."""
     value = record.get(key)
     if isinstance(value, str):
-        return intern(value)
+        return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return intern(str(value))
+        return str(value)
     if key not in record:
         raise GraphFormatError(f"{kind} record needs {key!r}", lineno)
     raise GraphFormatError(f"{kind} {key!r} must be a string or an integer", lineno)
@@ -227,7 +221,7 @@ def load_graph(text: str) -> PropertyGraph:
                 raise GraphFormatError("labels must be a list of strings", lineno)
             g.add_node(
                 _node_ref(record, "id", "node", lineno),
-                map(intern, labels),
+                labels,
                 _check_props(record.get("props", {}), f"line {lineno}"),
             )
         elif record["type"] == "edge":
@@ -242,7 +236,7 @@ def load_graph(text: str) -> PropertyGraph:
                                    lineno)
         dst = _node_ref(record, "dst", "edge", lineno)
         try:
-            g.add_edge(src, intern(label), dst,
+            g.add_edge(src, label, dst,
                        _check_props(record.get("props", {}), f"line {lineno}"))
         except GraphFormatError as exc:
             raise GraphFormatError(str(exc), lineno) from None
@@ -273,10 +267,10 @@ def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
     """
     g = PropertyGraph()
     for row, props in _csv_records(nodes_text, "node", ("id",)):
-        labels = [intern(l) for l in (row.get("labels") or "").split(";") if l]
-        g.add_node(intern(row["id"]), labels, _check_props(props, f"node {row['id']}"))
+        labels = [l for l in (row.get("labels") or "").split(";") if l]
+        g.add_node(row["id"], labels, _check_props(props, f"node {row['id']}"))
     for row, props in _csv_records(edges_text, "edge", ("src", "label", "dst")):
-        g.add_edge(intern(row["src"]), intern(row["label"]), intern(row["dst"]),
+        g.add_edge(row["src"], row["label"], row["dst"],
                    _check_props(props, f"edge {row['src']}->{row['dst']}"))
     return g
 
@@ -479,12 +473,6 @@ def _hash_join(variables, rows, relation):
         for pair in rel_rows:
             index.setdefault(pair[shared], []).append(pair[new])
         return variables, [row + (node,) for row in rows for node in index.get(row[i], ())]
-    if len(variables) == 2:
-        # One-node rows are their own keys, and a matching pair is a new row.
-        keys = {row[0] for row in rows}
-        if shared:
-            return variables, [(v, u) for u, v in rel_rows if v in keys]
-        return variables, [pair for pair in rel_rows if pair[0] in keys]
     for row in rows:
         index.setdefault(row[i], []).append(row)
     return variables, [row + (pair[new],) for pair in rel_rows
@@ -502,7 +490,7 @@ def _in_build_order(atoms, g: PropertyGraph):
     indexed, composite = [], []
     for atom in atoms:
         if isinstance(atom, ConceptAtom):
-            size = g.index_size(atom.labels)
+            size = sum(map(len, g.label_entries(atom.labels)))
         elif isinstance(atom.path, EdgeStep):
             size = len(g.pairs(atom.path.role.name))
         else:
