@@ -23,6 +23,13 @@ predecessors in the same run and smaller ones in the next.  Role
 inclusions visit every pair of their sub-role.  Skipped runs and indexes
 change how fast a trigger is found, not which triggers fire or how
 witnesses are named.
+
+The chase writes into a copy of the graph, which shares the original's
+label sets and index sets until it writes one (see `PropertyGraph`), so
+a copy costs a few dict copies, not one set per node.  A write may
+replace or change an index set the chase has read, so every candidate
+set is sorted or copied before the first write over it, and an edge is
+looked up in its role's pair index.
 """
 from __future__ import annotations
 
@@ -61,7 +68,7 @@ def _matching_successors(g, index, node, role: Role):
 def _add_role_edge(g, index, src, role: Role, dst) -> bool:
     if role.inverted:
         src, dst = dst, src
-    if (src, role.name, dst) in g.edges:
+    if (src, dst) in g.pairs(role.name):
         return False
     g.add_edge(src, role.name, dst)
     for inverted, u, v in ((False, src, dst), (True, dst, src)):

@@ -72,45 +72,62 @@ from .query import (
 from .tbox import TOP
 
 _NO_PROPS = {}  # shared read-only stand-in for an edge without properties
+# The labels of every unlabelled node and the pairs of an absent edge label,
+# shared: CPython builds a new empty frozenset on each frozenset() call.
+_EMPTY = frozenset()
 
 
 class PropertyGraph:
     """Nodes and labeled directed edges, both carrying key-value properties.
 
     Edge properties are keyed by the ordered endpoint pair; the loader
-    rejects parallel edges that would assign conflicting values.  Two
-    indexes are kept next to `labels` and `edges`: the nodes carrying each
-    label and the endpoint pairs of each edge label.  Change the graph
-    only through `add_node`, `add_edge` and `add_label`, which keep them.
-    A copy shares the property maps of its original; `add_edge` replaces
-    a map rather than change it, so neither graph sees the other's edits.
+    rejects parallel edges that would assign conflicting values.  A node's
+    labels are a frozenset, which `add_label` replaces.  Two indexes are
+    kept next to `labels`: the nodes carrying each label and the endpoint
+    pairs of each edge label; `edges`, every (src, label, dst) triple, is
+    a new set built from the pair index.  Change the graph only through
+    `add_node`, `add_edge` and `add_label`, which keep the indexes.
+
+    A copy shares its original's label sets, property maps and index
+    sets: it copies the dicts that hold them, not what they hold.  Each
+    graph tracks the index keys whose sets it alone holds; `copy` leaves
+    both graphs holding none, and a write to a set a graph does not hold
+    alone replaces it with a changed copy first.  `add_edge` likewise
+    replaces a property map rather than change it, so neither graph sees
+    the other's edits.  Hence a later write to the same graph may replace
+    an index set read from `pairs`, `nodes_with` or `label_entries`, or
+    change it in place: to write while reading one, sort or copy it first.
     """
 
     def __init__(self):
-        self.labels = {}        # node id -> set of labels
+        self.labels = {}        # node id -> frozenset of labels
         self.node_props = {}    # node id -> {key: value}
-        self.edges = set()      # (src, label, dst)
         self.edge_props = {}    # (src, dst) -> {key: value}
-        self._pairs_by_label = {}
-        self._nodes_by_label = {}
+        self._pairs_by_label = {}   # edge label -> set of (src, dst)
+        self._nodes_by_label = {}   # node label -> set of node ids
+        self._own_pairs = set()     # keys of the sets above that no copy shares
+        self._own_nodes = set()
 
     # -- construction -------------------------------------------------------
 
     def add_node(self, node_id, labels=(), props=None):
         if node_id in self.labels:
             raise GraphFormatError(f"duplicate node id {node_id!r}")
-        self.labels[node_id] = set(labels)
+        labels = self.labels[node_id] = frozenset(labels) or _EMPTY
         self.node_props[node_id] = dict(props or {})
-        for label in self.labels[node_id]:
-            self._nodes_by_label.setdefault(label, set()).add(node_id)
+        for label in labels:
+            if label not in self._own_nodes:
+                self._own(self._nodes_by_label, self._own_nodes, label)
+            self._nodes_by_label[label].add(node_id)
 
     def add_edge(self, src, label, dst, props=None):
         for endpoint in (src, dst):
             if endpoint not in self.labels:
                 raise GraphFormatError(f"edge endpoint {endpoint!r} is not a node")
-        self.edges.add((src, label, dst))
         pair = (src, dst)  # one tuple for the pair index and the property map
-        self._pairs_by_label.setdefault(label, set()).add(pair)
+        if label not in self._own_pairs:
+            self._own(self._pairs_by_label, self._own_pairs, label)
+        self._pairs_by_label[label].add(pair)
         if props:
             stored = self.edge_props.get(pair, _NO_PROPS)
             for key, value in props.items():
@@ -121,8 +138,18 @@ class PropertyGraph:
             self.edge_props[pair] = {**stored, **props}
 
     def add_label(self, node_id, label):
-        self.labels[node_id].add(label)
-        self._nodes_by_label.setdefault(label, set()).add(node_id)
+        self.labels[node_id] = self.labels[node_id] | {label}
+        if label not in self._own_nodes:
+            self._own(self._nodes_by_label, self._own_nodes, label)
+        self._nodes_by_label[label].add(node_id)
+
+    @staticmethod
+    def _own(index, owned, key):
+        """Give this graph its own copy of index[key] (an empty set when the
+        key is absent) and list the key in `owned`.  A write to an index
+        set whose key is not in `owned` calls this first."""
+        index[key] = set(index.get(key, ()))
+        owned.add(key)
 
     # -- access ---------------------------------------------------------------
 
@@ -130,11 +157,16 @@ class PropertyGraph:
     def nodes(self):
         return self.labels.keys()
 
+    @property
+    def edges(self) -> set:
+        return {(src, label, dst)
+                for label, pairs in self._pairs_by_label.items() for src, dst in pairs}
+
     def has_label(self, node_id, name) -> bool:
         return name == TOP or name in self.labels[node_id]
 
     def pairs(self, label) -> set:
-        return self._pairs_by_label.get(label, set())
+        return self._pairs_by_label.get(label, _EMPTY)
 
     def label_entries(self, labels) -> list:
         """The label-index entries whose union is the nodes carrying at
@@ -159,12 +191,13 @@ class PropertyGraph:
 
     def copy(self) -> "PropertyGraph":
         out = PropertyGraph()
-        out.labels = {n: set(ls) for n, ls in self.labels.items()}
-        out.node_props = dict(self.node_props)
-        out.edges = set(self.edges)
-        out.edge_props = dict(self.edge_props)
-        out._pairs_by_label = {l: set(ps) for l, ps in self._pairs_by_label.items()}
-        out._nodes_by_label = {l: set(ns) for l, ns in self._nodes_by_label.items()}
+        out.labels = self.labels.copy()
+        out.node_props = self.node_props.copy()
+        out.edge_props = self.edge_props.copy()
+        out._pairs_by_label = self._pairs_by_label.copy()
+        out._nodes_by_label = self._nodes_by_label.copy()
+        self._own_pairs.clear()  # the copy now shares every index set
+        self._own_nodes.clear()
         return out
 
 
@@ -181,10 +214,10 @@ def _check_value(value, where):
     return value
 
 
-def _check_props(props, where):
+def _check_props(props, where, share):
     if not isinstance(props, dict):
         raise GraphFormatError(f"props must be an object ({where})")
-    return {k: _check_value(v, where) for k, v in props.items()}
+    return {share(k, k): _check_value(v, where) for k, v in props.items()}
 
 
 def _node_ref(record, key, kind, lineno):
@@ -201,8 +234,12 @@ def _node_ref(record, key, kind, lineno):
 
 
 def load_graph(text: str) -> PropertyGraph:
-    """Load a graph from JSON-lines: node records first or interleaved."""
+    """Load a graph from JSON-lines: node records first or interleaved.
+
+    Each distinct node id, label and property key is one string object
+    within the graph, so edge endpoints share their node's id."""
     g = PropertyGraph()
+    share = {}.setdefault  # name -> its first string object, for this load only
     pending_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -219,10 +256,11 @@ def load_graph(text: str) -> PropertyGraph:
             if not (isinstance(labels, list)
                     and all(isinstance(label, str) for label in labels)):
                 raise GraphFormatError("labels must be a list of strings", lineno)
+            node_id = _node_ref(record, "id", "node", lineno)
             g.add_node(
-                _node_ref(record, "id", "node", lineno),
-                labels,
-                _check_props(record.get("props", {}), f"line {lineno}"),
+                share(node_id, node_id),
+                map(share, labels, labels),
+                _check_props(record.get("props", {}), f"line {lineno}", share),
             )
         elif record["type"] == "edge":
             pending_edges.append((lineno, record))
@@ -236,8 +274,8 @@ def load_graph(text: str) -> PropertyGraph:
                                    lineno)
         dst = _node_ref(record, "dst", "edge", lineno)
         try:
-            g.add_edge(src, label, dst,
-                       _check_props(record.get("props", {}), f"line {lineno}"))
+            g.add_edge(share(src, src), share(label, label), share(dst, dst),
+                       _check_props(record.get("props", {}), f"line {lineno}", share))
         except GraphFormatError as exc:
             raise GraphFormatError(str(exc), lineno) from None
     return g
@@ -263,15 +301,19 @@ def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
     """Load a graph from the CSV pair (id,labels,props / src,label,dst,props).
 
     Labels are `;`-separated; the props column (`props` or `props-json`)
-    holds JSON objects.
+    holds JSON objects.  As in `load_graph`, each distinct name is one
+    string object within the graph.
     """
     g = PropertyGraph()
+    share = {}.setdefault  # name -> its first string object, for this load only
     for row, props in _csv_records(nodes_text, "node", ("id",)):
-        labels = [l for l in (row.get("labels") or "").split(";") if l]
-        g.add_node(row["id"], labels, _check_props(props, f"node {row['id']}"))
+        labels = [share(l, l) for l in (row.get("labels") or "").split(";") if l]
+        g.add_node(share(row["id"], row["id"]), labels,
+                   _check_props(props, f"node {row['id']}", share))
     for row, props in _csv_records(edges_text, "edge", ("src", "label", "dst")):
-        g.add_edge(row["src"], row["label"], row["dst"],
-                   _check_props(props, f"edge {row['src']}->{row['dst']}"))
+        src, label, dst = row["src"], row["label"], row["dst"]
+        g.add_edge(share(src, src), share(label, label), share(dst, dst),
+                   _check_props(props, f"edge {src}->{dst}", share))
     return g
 
 

@@ -127,8 +127,8 @@ def walk_pairs(path, g: PropertyGraph, unroll=None) -> set:
             return hit
         memo[key] = False  # cycle guard; star-free terms terminate anyway
         if isinstance(p, EdgeStep):
-            edge = (v, p.role.name, u) if p.role.inverted else (u, p.role.name, v)
-            out = edge in g.edges
+            pair = (v, u) if p.role.inverted else (u, v)
+            out = pair in g.pairs(p.role.name)
         elif isinstance(p, NodeTest):
             out = u == v and any(g.has_label(u, l) for l in p.labels)
         elif isinstance(p, PropTest):
@@ -234,9 +234,10 @@ def raw_chase(g: PropertyGraph, axioms, depth: int) -> PropertyGraph:
                 base_pairs = out.pairs(ax.sub.name)
                 pairs = {(v, u) for (u, v) in base_pairs} if ax.sub.inverted else base_pairs
                 for u, v in sorted(pairs):
-                    edge = (v, ax.sup.name, u) if ax.sup.inverted else (u, ax.sup.name, v)
-                    if edge not in out.edges:
-                        out.add_edge(*edge)
+                    if ax.sup.inverted:
+                        u, v = v, u
+                    if (u, v) not in out.pairs(ax.sup.name):
+                        out.add_edge(u, ax.sup.name, v)
                         changed = True
             elif isinstance(ax, ConceptInclusion):
                 for node in sorted(out.nodes):
@@ -276,7 +277,7 @@ def _matching_successors(g, index, node, role: Role):
 def _add_role_edge(g, index, src, role: Role, dst) -> bool:
     if role.inverted:
         src, dst = dst, src
-    if (src, role.name, dst) in g.edges:
+    if (src, dst) in g.pairs(role.name):
         return False
     g.add_edge(src, role.name, dst)
     for inverted, u, v in ((False, src, dst), (True, dst, src)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_answers, make_graph, random_graph, walk_pairs
 
 from ontopath import graph as graph_module
+from ontopath.chase import certain_answers
 from ontopath.errors import GraphFormatError
 from ontopath.graph import (
     PropertyGraph,
@@ -35,7 +36,7 @@ from ontopath.query import (
     star_path,
     union_path,
 )
-from ontopath.tbox import TOP, Role
+from ontopath.tbox import TOP, Role, parse_tbox
 
 
 def test_load_graph_jsonl():
@@ -168,6 +169,38 @@ def test_jsonl_round_trip():
     assert again.edge_props == g.edge_props
 
 
+_SHARED_NAMES_JSONL = (
+    '{"type":"node","id":"alice","labels":["Teacher"]}\n'
+    '{"type":"node","id":"bob","labels":["Student"]}\n'
+    '{"type":"node","id":"carol","labels":["Student"]}\n'
+    '{"type":"edge","src":"alice","label":"teaches","dst":"bob","props":{"since":1999}}\n'
+    '{"type":"edge","src":"bob","label":"teaches","dst":"carol","props":{"since":2004}}\n'
+    '{"type":"edge","src":"carol","label":"mentors","dst":"alice"}\n'
+)
+_SHARED_NAMES_CSV = (
+    "id,labels\nalice,Teacher\nbob,Student\ncarol,Student\n",
+    'src,label,dst,props\nalice,teaches,bob,"{""since"": 1999}"\n'
+    'bob,teaches,carol,"{""since"": 2004}"\ncarol,mentors,alice,\n',
+)
+
+
+@pytest.mark.parametrize("load", [
+    lambda: load_graph(_SHARED_NAMES_JSONL),
+    lambda: load_graph_csv(*_SHARED_NAMES_CSV),
+], ids=["jsonl", "csv"])
+def test_loaders_keep_one_string_per_name_within_a_graph(load):
+    g = load()
+    node_ids = {node: node for node in g.labels}  # each id -> the key object itself
+    for role in ("teaches", "mentors"):
+        for src, dst in g.pairs(role):
+            assert src is node_ids[src] and dst is node_ids[dst]
+    (first,), (second,) = g.edge_props[("alice", "bob")], g.edge_props[("bob", "carol")]
+    assert first == second == "since" and first is second
+    # No table outlives a load: a second load of the same text has its own ids.
+    again = load()
+    assert all(node is not node_ids[node] for node in again.labels)
+
+
 # -- the label index ------------------------------------------------------------
 
 
@@ -205,6 +238,61 @@ def test_edge_props_added_after_copy_stay_in_their_graph(writer):
     assert written.edge_props == {("a", "b"): {"w": 2, "since": 1999}, ("b", "a"): {"w": 3}}
     assert other.edge_props == {("a", "b"): {"w": 2}}
     assert other.node_props == written.node_props == {"a": {"k": 1}, "b": {}}
+
+
+def _observed(g):
+    """What every reader sees of g, in containers that no later write to g
+    can reach."""
+    return ({n: set(ls) for n, ls in g.labels.items()},
+            {label: set(g.nodes_with({label})) for label in ("A", "B", "C")},
+            {role: set(g.pairs(role)) for role in ("r", "s", "t")},
+            g.edges,
+            {n: dict(props) for n, props in g.node_props.items()},
+            {pair: dict(props) for pair, props in g.edge_props.items()})
+
+
+_WRITES = {
+    "add_node": lambda g: g.add_node("fresh", ["A"], {"k": 2}),
+    "add_label, existing label": lambda g: g.add_label("c", "A"),
+    "add_label, new label": lambda g: g.add_label("a", "C"),
+    "add_edge, existing role": lambda g: g.add_edge("b", "r", "c"),
+    "add_edge, new role": lambda g: g.add_edge("c", "t", "a"),
+    "add_edge, existing role, props": lambda g: g.add_edge("c", "r", "b", {"w": 5}),
+    "add_edge, new role, props": lambda g: g.add_edge("a", "t", "c", {"w": 6}),
+}
+
+
+def _copy_of_a_copy(g):
+    h = g.copy()
+    return [g, h, h.copy()]
+
+
+_COPIES = {
+    "a copy": lambda g: [g, g.copy()],
+    "a copy of a copy": _copy_of_a_copy,
+    "copied twice": lambda g: [g, g.copy(), g.copy()],
+}
+
+
+@pytest.mark.parametrize("write", _WRITES.values(), ids=_WRITES.keys())
+@pytest.mark.parametrize("copies", _COPIES.values(), ids=_COPIES.keys())
+@pytest.mark.parametrize("first", ["original", "last copy"])
+def test_writes_after_copy_stay_in_their_graph(write, copies, first):
+    # Copies share index sets until one of them writes one; every graph of
+    # the family writes in turn, and no other graph may see the write.
+    g = make_graph({"a": ["A"], "b": ["A", "B"], "c": []},
+                   [("a", "r", "b"), ("b", "s", "a")],
+                   node_props={"a": {"k": 1}}, edge_props={("a", "b"): {"w": 2}})
+    family = copies(g)
+    if first == "last copy":
+        family.reverse()
+    for written in family:
+        others = [h for h in family if h is not written]
+        before = [_observed(h) for h in others]
+        unwritten = _observed(written)
+        write(written)
+        assert _observed(written) != unwritten
+        assert [_observed(h) for h in others] == before
 
 
 def test_nodes_with_top_is_every_node():
@@ -375,6 +463,20 @@ def test_evaluation_leaves_the_graph_indexes_unchanged():
             answers.add(("z", "z"))
             assert eval_query(query, g) == expected, text
             assert _index_snapshot(g) == before, text
+
+
+def test_certain_answers_leave_the_graph_indexes_unchanged():
+    # The chase writes witnesses, teaches edges and Student labels into a
+    # copy that shares the base graph's index sets until it writes them.
+    g = make_graph({"t1": ["Teacher"], "t2": ["Teacher"], "s1": ["Student"], "p": []},
+                   [("t1", "teaches", "s1"), ("p", "teaches", "t2"), ("t2", "mentors", "p")],
+                   edge_props={("t1", "s1"): {"since": 1999}})
+    tbox = parse_tbox("Teacher <= exists teaches . Student")
+    q = parse_query("q(x) :- teaches(x,y), Student(y)")
+    before = _index_snapshot(g)
+    for _ in range(2):
+        assert certain_answers(q, g, tbox, 3) == {("t1",), ("t2",)}
+        assert _index_snapshot(g) == before
 
 
 _CALL_TRACE = """
