@@ -19,10 +19,20 @@ left-hand side.  An existential left-hand side visits the role
 predecessors of its filler's nodes, smallest first from a heap; when its
 right-hand side is its filler, a node it labels pushes those of its own
 predecessors that sort after it, so a new label reaches larger
-predecessors in the same run and smaller ones in the next.  Role
-inclusions visit every pair of their sub-role.  Skipped runs and indexes
-change how fast a trigger is found, not which triggers fire or how
-witnesses are named.
+predecessors in the same run and smaller ones in the next.  A role
+inclusion adds its sub-role's pairs that its super-role lacks in one set
+operation (`PropertyGraph.add_edges`); it makes no witness, so the order
+of its pairs names nothing.  Skipped runs and indexes change how fast a
+trigger is found, not which triggers fire or how witnesses are named.
+
+`certain_answers` chases only the axioms whose facts the query can
+observe: those that write a key the query reads, and, up to a fixpoint,
+those that write a key a kept axiom reads (the relevance step of Magic
+Sets, Bancilhon, Maier, Sagiv & Ullman, PODS 1986).  A dropped axiom
+writes no fact that the query or a kept axiom reads, so the kept facts,
+and the answers over base nodes, are those of the full chase; only
+witness names differ, and no answer carries one.  `chase` itself, and
+so `ontopath chase`, saturates with every axiom.
 
 The chase writes into a copy of the graph, which shares the original's
 label sets and index sets until it writes one (see `PropertyGraph`), so
@@ -36,6 +46,16 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .graph import PropertyGraph, eval_query
+from .query import (
+    C2RPQ,
+    Concat,
+    ConceptAtom,
+    EdgeStep,
+    NodeTest,
+    RoleAtom,
+    Star,
+    UnionPath,
+)
 from .tbox import (
     TOP,
     AtomicInclusion,
@@ -65,17 +85,18 @@ def _matching_successors(g, index, node, role: Role):
     return succ.get(node, ())
 
 
-def _add_role_edge(g, index, src, role: Role, dst) -> bool:
-    if role.inverted:
-        src, dst = dst, src
-    if (src, dst) in g.pairs(role.name):
-        return False
-    g.add_edge(src, role.name, dst)
-    for inverted, u, v in ((False, src, dst), (True, dst, src)):
-        succ = index.get((role.name, inverted))
+def _add_role_pairs(g, index, name, pairs) -> int:
+    """Add the (src, dst) `pairs` that role `name` lacks to g and to the
+    successor maps `index` has built for it; return how many were new."""
+    new = g.add_edges(name, pairs)
+    for inverted in (False, True):
+        succ = index.get((name, inverted))
         if succ is not None:
-            succ.setdefault(u, set()).add(v)
-    return True
+            for u, v in new:
+                if inverted:
+                    u, v = v, u
+                succ.setdefault(u, set()).add(v)
+    return len(new)
 
 
 def _reads(nf):
@@ -94,12 +115,72 @@ def _reads(nf):
     raise TypeError(f"unexpected normal-form axiom {nf!r}")
 
 
+def _writes(nf):
+    """The keys of the facts `nf` can add, as `_reads` names them."""
+    if isinstance(nf, RoleInclusion):
+        return (("role", nf.sup.name),)
+    if isinstance(nf, ExistsRight):
+        return (TOP, ("role", nf.role.name), nf.filler)
+    return (nf.rhs,)
+
+
+def _query_reads(q):
+    """The keys whose facts can change a query's answers: its labels and
+    ("role", name) for its edge steps.  A star reads `top` as well, since
+    its zero-length walk reaches every node."""
+    keys = set()
+    paths = []
+    for branch in (q,) if isinstance(q, C2RPQ) else q.branches:
+        for atom in branch.atoms:
+            if isinstance(atom, ConceptAtom):
+                keys.update(atom.labels)
+            elif isinstance(atom, RoleAtom):
+                paths.append(atom.path)
+    while paths:
+        path = paths.pop()
+        if isinstance(path, EdgeStep):
+            keys.add(("role", path.role.name))
+        elif isinstance(path, NodeTest):
+            keys.update(path.labels)
+        elif isinstance(path, Concat):
+            paths.extend(path.parts)
+        elif isinstance(path, UnionPath):
+            paths.extend(path.branches)
+        elif isinstance(path, Star):
+            keys.add(TOP)
+            paths.append(path.inner)
+        else:
+            raise TypeError(f"not a path expression: {path!r}")
+    return keys
+
+
+def _relevant_axioms(q, normalized) -> tuple:
+    """The normal forms, in order, whose facts can reach q: those writing a
+    key q reads, or, up to a fixpoint, a key a kept normal form reads."""
+    writers = {}  # key -> positions of the normal forms writing it
+    for i, nf in enumerate(normalized):
+        for key in _writes(nf):
+            writers.setdefault(key, []).append(i)
+    wanted = _query_reads(q)
+    todo = list(wanted)
+    kept = set()
+    while todo:
+        for i in writers.get(todo.pop(), ()):
+            if i not in kept:
+                kept.add(i)
+                for key in _reads(normalized[i]):
+                    if key not in wanted:
+                        wanted.add(key)
+                        todo.append(key)
+    return tuple(normalized[i] for i in sorted(kept))
+
+
 def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
     """Least fixpoint of the normal-form rules over a copy of g, to witness
     depth `depth`; nodes not in g are anonymous witnesses."""
     t = normalize(t)
     out = g.copy()
-    generation = {n: 0 for n in out.nodes}
+    generation = {}  # witness -> its generation; base nodes have 0
     successors = {}  # (role name, inverted) -> {node: successor set}
     reads = [_reads(nf) for nf in t.normalized]
     # Facts the chase has added, per read key.  Tallies only grow, so an
@@ -155,19 +236,20 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                             if pred > node and not out.has_label(pred, nf.rhs):
                                 heappush(heap, pred)
             elif isinstance(nf, RoleInclusion):
-                base_pairs = out.pairs(nf.sub.name)
-                pairs = ({(v, u) for (u, v) in base_pairs} if nf.sub.inverted
-                         else set(base_pairs))
-                for u, v in sorted(pairs):
-                    if _add_role_edge(out, successors, u, nf.sup, v):
-                        note(("role", nf.sup.name))
-                        changed = True
+                pairs = out.pairs(nf.sub.name)
+                if nf.sub.inverted != nf.sup.inverted:
+                    pairs = {(v, u) for u, v in pairs}
+                count = _add_role_pairs(out, successors, nf.sup.name, pairs)
+                if count:
+                    key = ("role", nf.sup.name)
+                    added[key] = added.get(key, 0) + count
+                    changed = True
             elif isinstance(nf, ExistsRight):
                 for node in sorted(out.nodes_with((nf.lhs,))):
                     if any(out.has_label(s, nf.filler)
                            for s in _matching_successors(out, successors, node, nf.role)):
                         continue
-                    if generation[node] >= depth:
+                    if generation.get(node, 0) >= depth:
                         continue
                     witness = f"{ANON_PREFIX}{node}/{axiom_index}"
                     while witness in out.labels:
@@ -175,8 +257,9 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         witness += "'"
                     out.add_node(witness)
                     note(TOP)
-                    generation[witness] = generation[node] + 1
-                    _add_role_edge(out, successors, node, nf.role, witness)
+                    generation[witness] = generation.get(node, 0) + 1
+                    pair = (witness, node) if nf.role.inverted else (node, witness)
+                    _add_role_pairs(out, successors, nf.role.name, {pair})
                     note(("role", nf.role.name))
                     ensure_label(witness, nf.filler)
                     changed = True
@@ -184,10 +267,19 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
 
 
 def certain_answers(q, g: PropertyGraph, t: TBox, depth: int) -> set:
-    """Answers over the chased graph restricted to base-node tuples."""
-    chased = chase(g, t, depth)
+    """Answers over the chased graph restricted to base-node tuples.
+
+    Only the axioms `_relevant_axioms` keeps for q are chased; with none,
+    q is evaluated on g itself."""
+    t = normalize(t)
+    kept = _relevant_axioms(q, t.normalized)
+    if not kept:
+        return eval_query(q, g)
+    # The original axioms with a normal form cut to the kept ones: the
+    # chase reads the normal form only.
+    chased = chase(g, TBox(t.axioms, kept), depth)
     answers = eval_query(q, chased)
-    anonymous = chased.nodes - g.nodes
-    if not anonymous:
-        return answers
-    return {answer for answer in answers if anonymous.isdisjoint(answer)}
+    if len(chased.labels) == len(g.labels):
+        return answers  # no witnesses
+    nodes = g.labels
+    return {answer for answer in answers if all(node in nodes for node in answer)}

@@ -86,7 +86,12 @@ class PropertyGraph:
     kept next to `labels`: the nodes carrying each label and the endpoint
     pairs of each edge label; `edges`, every (src, label, dst) triple, is
     a new set built from the pair index.  Change the graph only through
-    `add_node`, `add_edge` and `add_label`, which keep the indexes.
+    `add_node`, `add_edge`, `add_edges` and `add_label`, which keep the
+    indexes.
+
+    `add_node` and `add_edge` store the property map they are given (an
+    empty one is the shared `_NO_PROPS`), so graphs and loads may share
+    equal maps: a caller never changes a map after passing it in.
 
     A copy shares its original's label sets, property maps and index
     sets: it copies the dicts that hold them, not what they hold.  Each
@@ -114,7 +119,7 @@ class PropertyGraph:
         if node_id in self.labels:
             raise GraphFormatError(f"duplicate node id {node_id!r}")
         labels = self.labels[node_id] = frozenset(labels) or _EMPTY
-        self.node_props[node_id] = dict(props or {})
+        self.node_props[node_id] = props or _NO_PROPS
         for label in labels:
             if label not in self._own_nodes:
                 self._own(self._nodes_by_label, self._own_nodes, label)
@@ -129,13 +134,28 @@ class PropertyGraph:
             self._own(self._pairs_by_label, self._own_pairs, label)
         self._pairs_by_label[label].add(pair)
         if props:
-            stored = self.edge_props.get(pair, _NO_PROPS)
-            for key, value in props.items():
-                if key in stored and stored[key] != value:
-                    raise GraphFormatError(
-                        f"conflicting property {key!r} on parallel edges {src!r}->{dst!r}")
-            # A new map, never the stored one: copies share property maps.
-            self.edge_props[pair] = {**stored, **props}
+            stored = self.edge_props.get(pair)
+            if stored is not None:
+                for key, value in props.items():
+                    if key in stored and stored[key] != value:
+                        raise GraphFormatError(
+                            f"conflicting property {key!r} on parallel edges {src!r}->{dst!r}")
+                # A new map, never the stored one: copies share property maps.
+                props = {**stored, **props}
+            self.edge_props[pair] = props
+
+    def add_edges(self, label, pairs) -> set:
+        """Add a `label` edge without properties for each (src, dst) in the
+        set `pairs` that the graph lacks; return the pairs added."""
+        new = pairs - self.pairs(label)
+        if not new:
+            return new
+        if not self.labels.keys() >= set().union(*new):
+            raise GraphFormatError(f"a {label!r} edge endpoint is not a node")
+        if label not in self._own_pairs:
+            self._own(self._pairs_by_label, self._own_pairs, label)
+        self._pairs_by_label[label] |= new
+        return new
 
     def add_label(self, node_id, label):
         self.labels[node_id] = self.labels[node_id] | {label}
@@ -215,9 +235,15 @@ def _check_value(value, where):
 
 
 def _check_props(props, where, share):
+    """The checked map, each key one string per load, and one map object
+    per load for each sequence of keys and values: values of different
+    types or texts (1 and 1.0, 0.0 and -0.0) never share one."""
     if not isinstance(props, dict):
         raise GraphFormatError(f"props must be an object ({where})")
-    return {share(k, k): _check_value(v, where) for k, v in props.items()}
+    if not props:
+        return _NO_PROPS
+    checked = {share(k, k): _check_value(v, where) for k, v in props.items()}
+    return share(tuple([(k, repr(v)) for k, v in checked.items()]), checked)
 
 
 def _node_ref(record, key, kind, lineno):
@@ -237,9 +263,11 @@ def load_graph(text: str) -> PropertyGraph:
     """Load a graph from JSON-lines: node records first or interleaved.
 
     Each distinct node id, label and property key is one string object
-    within the graph, so edge endpoints share their node's id."""
+    within the graph, so edge endpoints share their node's id; equal label
+    sets and equal property maps are one object each."""
     g = PropertyGraph()
-    share = {}.setdefault  # name -> its first string object, for this load only
+    # name, label set or property map -> its first object, for this load only
+    share = {}.setdefault
     pending_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -257,9 +285,10 @@ def load_graph(text: str) -> PropertyGraph:
                     and all(isinstance(label, str) for label in labels)):
                 raise GraphFormatError("labels must be a list of strings", lineno)
             node_id = _node_ref(record, "id", "node", lineno)
+            labels = frozenset(map(share, labels, labels))
             g.add_node(
                 share(node_id, node_id),
-                map(share, labels, labels),
+                share(labels, labels),
                 _check_props(record.get("props", {}), f"line {lineno}", share),
             )
         elif record["type"] == "edge":
@@ -302,13 +331,15 @@ def load_graph_csv(nodes_text: str, edges_text: str) -> PropertyGraph:
 
     Labels are `;`-separated; the props column (`props` or `props-json`)
     holds JSON objects.  As in `load_graph`, each distinct name is one
-    string object within the graph.
+    string object within the graph, and equal label sets and property maps
+    are one object each.
     """
     g = PropertyGraph()
-    share = {}.setdefault  # name -> its first string object, for this load only
+    # name, label set or property map -> its first object, for this load only
+    share = {}.setdefault
     for row, props in _csv_records(nodes_text, "node", ("id",)):
-        labels = [share(l, l) for l in (row.get("labels") or "").split(";") if l]
-        g.add_node(share(row["id"], row["id"]), labels,
+        labels = frozenset([share(l, l) for l in (row.get("labels") or "").split(";") if l])
+        g.add_node(share(row["id"], row["id"]), share(labels, labels),
                    _check_props(props, f"node {row['id']}", share))
     for row, props in _csv_records(edges_text, "edge", ("src", "label", "dst")):
         src, label, dst = row["src"], row["label"], row["dst"]

@@ -1,13 +1,18 @@
+import importlib
 import random
 import re
 
 import pytest
+from corpus import random_instance
 from oracles import make_graph, random_graph, raw_certain_labels, round_robin_chase
 
 from ontopath.chase import chase, certain_answers
-from ontopath.graph import graph_to_jsonl
+from ontopath.graph import eval_query, graph_to_jsonl
 from ontopath.query import parse_query
 from ontopath.tbox import as_axiom, normalize, parse_tbox
+
+# The package re-exports the function `chase` under the module's name.
+chase_module = importlib.import_module("ontopath.chase")
 
 
 def test_single_generation():
@@ -130,6 +135,9 @@ _TBOX_CORPUS = [
     "exists r . top <= B\nB <= exists inv(r) . A",
     # later axioms write what earlier ones read: a label, and new nodes
     "top <= D\nB <= exists r . C\nA <= B",
+    # role inclusions whose super-role is inverted, read by an existential
+    "r <= inv(s)\nexists s . A <= B",
+    "inv(r) <= inv(s)\nexists inv(s) . A <= B",
 ]
 
 
@@ -220,3 +228,75 @@ def test_depth_monotonicity():
             answers = certain_answers(q, g, t, depth)
             assert previous <= answers
             previous = answers
+
+
+def _base_answers(q, g, t, depth):
+    """Answers over the full chase, restricted to base-node tuples."""
+    return {answer for answer in eval_query(q, chase(g, t, depth))
+            if all(node in g.labels for node in answer)}
+
+
+def test_certain_answers_equal_answers_over_the_full_chase():
+    """Chasing only the axioms a query can observe loses no answer and adds none."""
+    rng = random.Random(2024)
+    for _ in range(500):
+        t, g, q = random_instance(rng)
+        for depth in range(4):
+            assert certain_answers(q, g, t, depth) == _base_answers(q, g, t, depth), (
+                str(t), str(q), graph_to_jsonl(g), depth)
+
+
+def _chased_axioms(monkeypatch):
+    """The normal forms each `certain_answers` call hands to `chase`."""
+    seen = []
+
+    def spy(g, t, depth):
+        seen.append(set(t.normalized))
+        return chase(g, t, depth)
+
+    monkeypatch.setattr(chase_module, "chase", spy)
+    return seen
+
+
+def test_query_reading_no_axiom_is_not_chased(monkeypatch):
+    def refuse(g, t, depth):
+        raise AssertionError("chased a TBox the query cannot see")
+
+    monkeypatch.setattr(chase_module, "chase", refuse)
+    g = make_graph({"a": [], "b": [], "c": ["Region"]},
+                   [("a", "teaches", "b"), ("b", "teaches", "a"), ("a", "partOf", "c")],
+                   edge_props={("a", "b"): {"since": 2001}, ("b", "a"): {"since": 1999}})
+    t = parse_tbox("exists partOf . Region <= Region")
+    q = parse_query("q(x,y) :- teaches(x,y), since>2000(x,y)")
+    assert certain_answers(q, g, t, depth=3) == {("a", "b")}
+
+
+@pytest.mark.parametrize("query", [
+    parse_query("q(x) :- top(x)"),
+    # a star's zero-length walk reaches every node, a witness too
+    parse_query("q(x) :- A(x), (s*)(x,y)", extended=True),
+])
+def test_query_reading_top_keeps_existential_right_hand_sides(monkeypatch, query):
+    seen = _chased_axioms(monkeypatch)
+    t = normalize(parse_tbox("B <= exists r . C\nA <= D"))
+    certain_answers(query, make_graph({"a": ["A", "B"]}), t, depth=1)
+    assert seen == [{t.normalized[0]}]
+
+
+def test_star_query_sees_witnesses_of_axioms_it_reads_nothing_of():
+    # Only a witness, which has no properties, passes the negated test.
+    g = make_graph({"a": ["A"]}, node_props={"a": {"k": 5}})
+    t = parse_tbox("A <= exists r . B")
+    q = parse_query("q() :- (s*)(x,y), !k=5(y)", extended=True)
+    assert certain_answers(q, g, t, depth=1) == _base_answers(q, g, t, 1) == {()}
+
+
+def test_relevance_reaches_through_role_inclusions_and_existential_left_hand_sides(
+        monkeypatch):
+    seen = _chased_axioms(monkeypatch)
+    t = normalize(parse_tbox(
+        "exists s . B <= C\ninv(r) <= s\nA <= exists inv(r) . B\nD <= E"))
+    answers = certain_answers(parse_query("q(x) :- C(x)"), make_graph({"a": ["A"]}), t,
+                              depth=1)
+    assert answers == {("a",)}
+    assert seen == [set(t.normalized[:3])]

@@ -196,6 +196,7 @@ def test_loaders_keep_one_string_per_name_within_a_graph(load):
             assert src is node_ids[src] and dst is node_ids[dst]
     (first,), (second,) = g.edge_props[("alice", "bob")], g.edge_props[("bob", "carol")]
     assert first == second == "since" and first is second
+    assert g.labels["bob"] is g.labels["carol"]
     # No table outlives a load: a second load of the same text has its own ids.
     again = load()
     assert all(node is not node_ids[node] for node in again.labels)
@@ -259,6 +260,8 @@ _WRITES = {
     "add_edge, new role": lambda g: g.add_edge("c", "t", "a"),
     "add_edge, existing role, props": lambda g: g.add_edge("c", "r", "b", {"w": 5}),
     "add_edge, new role, props": lambda g: g.add_edge("a", "t", "c", {"w": 6}),
+    "add_edges, existing role": lambda g: g.add_edges("r", {("a", "b"), ("b", "c")}),
+    "add_edges, new role": lambda g: g.add_edges("t", {("c", "a"), ("a", "a")}),
 }
 
 
@@ -293,6 +296,31 @@ def test_writes_after_copy_stay_in_their_graph(write, copies, first):
         write(written)
         assert _observed(written) != unwritten
         assert [_observed(h) for h in others] == before
+
+
+def test_add_edges_adds_only_missing_pairs_between_nodes():
+    g = make_graph({"a": [], "b": []}, [("a", "r", "b")])
+    assert g.add_edges("r", {("a", "b"), ("b", "a")}) == {("b", "a")}
+    assert g.pairs("r") == {("a", "b"), ("b", "a")}
+    assert g.add_edges("r", {("a", "b")}) == set()
+    with pytest.raises(GraphFormatError, match="not a node"):
+        g.add_edges("r", {("a", "missing")})
+    assert g.pairs("r") == {("a", "b"), ("b", "a")}
+
+
+def test_load_graph_shares_equal_property_maps_but_keeps_value_types():
+    text = "".join(
+        f'{{"type":"node","id":"{node}","props":{{"k":{value}}}}}\n'
+        for node, value in [("a", "1"), ("b", "1"), ("c", "1.0"), ("d", "-0.0"),
+                            ("e", "0.0"), ("f", '"1"')])
+    g = load_graph(text + '{"type":"edge","src":"a","label":"r","dst":"b","props":{"k":1}}\n'
+                   '{"type":"node","id":"g"}\n')
+    props = g.node_props
+    assert props["a"] is props["b"] is g.edge_props[("a", "b")]
+    assert [repr(props[node]["k"]) for node in "abcdef"] == [
+        "1", "1", "1.0", "-0.0", "0.0", "'1'"]
+    assert props["g"] == {}
+    assert graph_to_jsonl(load_graph(graph_to_jsonl(g))) == graph_to_jsonl(g)
 
 
 def test_nodes_with_top_is_every_node():
