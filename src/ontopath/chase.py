@@ -10,16 +10,18 @@ Rounds run the axioms in order, each over its candidate nodes in sorted
 order, until a round adds nothing.  An axiom runs in a round only when a
 label or role it reads has gained a fact since its previous run began (a
 new node is a fact of `top`); otherwise the run could not fire.
-Existential axioms look up a node's role successors in a map per role name
-and direction, built from the graph the first time an axiom reads that
-role and extended with every edge the chase adds.  Atomic inclusions,
-conjunctions (from their rarest conjunct) and existential right-hand sides
-visit only the nodes that the graph's label index gives for their
-left-hand side.  An existential left-hand side visits the role
-predecessors of its filler's nodes, smallest first from a heap; when its
-right-hand side is its filler, a node it labels pushes those of its own
-predecessors that sort after it, so a new label reaches larger
-predecessors in the same run and smaller ones in the next.  A role
+Existential axioms look up a node's role successors or predecessors in the
+graph's own map per role name and end (`PropertyGraph.step_map`), built the
+first time an axiom reads that role and extended by the graph with every
+edge the chase adds; the chased graph keeps them, and evaluating a query
+over it reuses them.  Atomic inclusions, conjunctions (from their rarest
+conjunct) and existential right-hand sides visit only the nodes that the
+graph's label index gives for their left-hand side.  An existential
+left-hand side visits the role predecessors of its filler's nodes,
+smallest first from a heap; when its right-hand side is its filler, a
+node it labels pushes those of its own predecessors that sort after it,
+so a new label reaches larger predecessors in the same run and smaller
+ones in the next.  A role
 inclusion adds its sub-role's pairs that its super-role lacks in one set
 operation (`PropertyGraph.add_edges`); it makes no witness, so the order
 of its pairs names nothing.  Skipped runs and indexes change how fast a
@@ -62,41 +64,12 @@ from .tbox import (
     ConjInclusion,
     ExistsLeft,
     ExistsRight,
-    Role,
     RoleInclusion,
     TBox,
     normalize,
 )
 
 ANON_PREFIX = "_:"
-
-
-def _matching_successors(g, index, node, role: Role):
-    """Nodes that `node` reaches over `role`; `index` maps (role name,
-    inverted) to {node: successors} and gains that role's map on first use."""
-    key = (role.name, role.inverted)
-    succ = index.get(key)
-    if succ is None:
-        succ = index[key] = {}
-        for u, v in g.pairs(role.name):
-            if role.inverted:
-                u, v = v, u
-            succ.setdefault(u, set()).add(v)
-    return succ.get(node, ())
-
-
-def _add_role_pairs(g, index, name, pairs) -> int:
-    """Add the (src, dst) `pairs` that role `name` lacks to g and to the
-    successor maps `index` has built for it; return how many were new."""
-    new = g.add_edges(name, pairs)
-    for inverted in (False, True):
-        succ = index.get((name, inverted))
-        if succ is not None:
-            for u, v in new:
-                if inverted:
-                    u, v = v, u
-                succ.setdefault(u, set()).add(v)
-    return len(new)
 
 
 def _reads(nf):
@@ -181,7 +154,6 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
     t = normalize(t)
     out = g.copy()
     generation = {}  # witness -> its generation; base nodes have 0
-    successors = {}  # (role name, inverted) -> {node: successor set}
     reads = [_reads(nf) for nf in t.normalized]
     # Facts the chase has added, per read key.  Tallies only grow, so an
     # axiom whose reads sum to what they summed when its last run began
@@ -218,11 +190,12 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         if ensure_label(node, nf.rhs):
                             changed = True
             elif isinstance(nf, ExistsLeft):
-                back = nf.role.inverse()
+                # node -> the nodes with a role edge to it
+                preds = out.step_map(nf.role.name, int(nf.role.inverted))
                 heap = list({
                     node
                     for filled in out.nodes_with((nf.filler,))
-                    for node in _matching_successors(out, successors, filled, back)
+                    for node in preds.get(filled, ())
                     if not out.has_label(node, nf.rhs)
                 })
                 heapify(heap)
@@ -232,22 +205,22 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                         continue  # pushed twice
                     changed = True
                     if nf.rhs == nf.filler:
-                        for pred in _matching_successors(out, successors, node, back):
+                        for pred in preds.get(node, ()):
                             if pred > node and not out.has_label(pred, nf.rhs):
                                 heappush(heap, pred)
             elif isinstance(nf, RoleInclusion):
                 pairs = out.pairs(nf.sub.name)
                 if nf.sub.inverted != nf.sup.inverted:
                     pairs = {(v, u) for u, v in pairs}
-                count = _add_role_pairs(out, successors, nf.sup.name, pairs)
+                count = len(out.add_edges(nf.sup.name, pairs))
                 if count:
                     key = ("role", nf.sup.name)
                     added[key] = added.get(key, 0) + count
                     changed = True
             elif isinstance(nf, ExistsRight):
+                succ = out.step_map(nf.role.name, int(not nf.role.inverted))
                 for node in sorted(out.nodes_with((nf.lhs,))):
-                    if any(out.has_label(s, nf.filler)
-                           for s in _matching_successors(out, successors, node, nf.role)):
+                    if any(out.has_label(s, nf.filler) for s in succ.get(node, ())):
                         continue
                     if generation.get(node, 0) >= depth:
                         continue
@@ -258,8 +231,8 @@ def chase(g: PropertyGraph, t: TBox, depth: int) -> PropertyGraph:
                     out.add_node(witness)
                     note(TOP)
                     generation[witness] = generation.get(node, 0) + 1
-                    pair = (witness, node) if nf.role.inverted else (node, witness)
-                    _add_role_pairs(out, successors, nf.role.name, {pair})
+                    src, dst = (witness, node) if nf.role.inverted else (node, witness)
+                    out.add_edge(src, nf.role.name, dst)
                     note(("role", nf.role.name))
                     ensure_label(witness, nf.filler)
                     changed = True

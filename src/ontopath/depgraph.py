@@ -375,12 +375,12 @@ def _nullable(expr: PathExpr) -> bool:
 
 
 def _r(eps, expr):
-    if eps and expr is not None and _nullable(expr):
+    if eps and _nullable(expr):
         eps = False
     return (eps, expr)
 
 
-_EPS = (True, None)
+_EPS = (True, None)  # the only regex without an expression
 
 
 def _r_accepts_epsilon(a) -> bool:
@@ -389,34 +389,22 @@ def _r_accepts_epsilon(a) -> bool:
 
 
 def _r_union(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     eps = a[0] or b[0]
     exprs = [x for x in (a[1], b[1]) if x is not None]
-    if not exprs:
-        return (eps, None)
     return _r(eps, exprs[0] if len(exprs) == 1 else union_path(exprs))
 
 
 def _r_concat(a, b):
-    if a is None or b is None:
-        return None
     if a == _EPS:
         return b
     if b == _EPS:
         return a
     eps = a[0] and b[0]
-    branches = []
-    if a[1] is not None and b[1] is not None:
-        branches.append(concat_path([a[1], b[1]]))
-    if a[0] and b[1] is not None:
+    branches = [concat_path([a[1], b[1]])]
+    if a[0]:
         branches.append(b[1])
-    if b[0] and a[1] is not None:
+    if b[0]:
         branches.append(a[1])
-    if not branches:
-        return (eps, None)
     return _r(eps, branches[0] if len(branches) == 1 else union_path(branches))
 
 
@@ -427,11 +415,7 @@ def _r_star(a):
 
 
 def _r_to_path(r) -> PathExpr:
-    if r is None:
-        return None
     eps, expr = r
-    if expr is None:
-        return ANY_NODE if eps else None
     if not eps or _nullable(expr):
         return expr
     return union_path([ANY_NODE, expr])

@@ -39,7 +39,10 @@ and keep the rows whose bound node, or bound endpoint pair, satisfies
 them; rows over just the test's two variables, in its order, are looked
 up as they stand.  Answers in the rows' own variable order are the set of
 the rows.  The branches of a union share one memo table of path
-relations, dangling atoms' node sets, edge maps and compiled tests.
+relations, dangling atoms' node sets and compiled tests; an edge step's
+map from a node to the nodes one edge away is the graph's own
+(`PropertyGraph.step_map`), so it outlives the evaluation and repeated
+evaluations over one graph build it once.
 """
 from __future__ import annotations
 
@@ -85,7 +88,10 @@ class PropertyGraph:
     labels are a frozenset, which `add_label` replaces.  Two indexes are
     kept next to `labels`: the nodes carrying each label and the endpoint
     pairs of each edge label; `edges`, every (src, label, dst) triple, is
-    a new set built from the pair index.  Change the graph only through
+    a new set built from the pair index.  A third, `step_map`, maps a node
+    to the nodes one edge of a label away; it is built from the pair index
+    the first time it is read and then extended in place by `add_edge` and
+    `add_edges` with each pair they add.  Change the graph only through
     `add_node`, `add_edge`, `add_edges` and `add_label`, which keep the
     indexes.
 
@@ -102,6 +108,7 @@ class PropertyGraph:
     the other's edits.  Hence a later write to the same graph may replace
     an index set read from `pairs`, `nodes_with` or `label_entries`, or
     change it in place: to write while reading one, sort or copy it first.
+    A copy starts with no step maps, so it never extends its original's.
     """
 
     def __init__(self):
@@ -112,6 +119,7 @@ class PropertyGraph:
         self._nodes_by_label = {}   # node label -> set of node ids
         self._own_pairs = set()     # keys of the sets above that no copy shares
         self._own_nodes = set()
+        self._steps = {}            # (edge label, end) -> {node: [nodes]}, see step_map
 
     # -- construction -------------------------------------------------------
 
@@ -132,7 +140,10 @@ class PropertyGraph:
         pair = (src, dst)  # one tuple for the pair index and the property map
         if label not in self._own_pairs:
             self._own(self._pairs_by_label, self._own_pairs, label)
-        self._pairs_by_label[label].add(pair)
+        pairs = self._pairs_by_label[label]
+        if self._steps and pair not in pairs:
+            self._extend_steps(label, (pair,))
+        pairs.add(pair)
         if props:
             stored = self.edge_props.get(pair)
             if stored is not None:
@@ -155,6 +166,8 @@ class PropertyGraph:
         if label not in self._own_pairs:
             self._own(self._pairs_by_label, self._own_pairs, label)
         self._pairs_by_label[label] |= new
+        if self._steps:
+            self._extend_steps(label, new)
         return new
 
     def add_label(self, node_id, label):
@@ -162,6 +175,14 @@ class PropertyGraph:
         if label not in self._own_nodes:
             self._own(self._nodes_by_label, self._own_nodes, label)
         self._nodes_by_label[label].add(node_id)
+
+    def _extend_steps(self, label, new):
+        """Add the new `label` pairs to the step maps built for it."""
+        for end in (0, 1):
+            step = self._steps.get((label, end))
+            if step is not None:
+                for pair in new:
+                    step.setdefault(pair[1 - end], []).append(pair[end])
 
     @staticmethod
     def _own(index, owned, key):
@@ -187,6 +208,19 @@ class PropertyGraph:
 
     def pairs(self, label) -> set:
         return self._pairs_by_label.get(label, _EMPTY)
+
+    def step_map(self, label, end) -> dict:
+        """{node: [the nodes one `label` edge away]}, keyed by each edge's
+        other end and listing its end `end` (0 its source, 1 its target).
+        The graph keeps the map and the add methods extend its lists: read
+        it, do not change it, and copy a list before adding edges over it."""
+        key = (label, end)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = {}
+            for pair in self.pairs(label):
+                step.setdefault(pair[1 - end], []).append(pair[end])
+        return step
 
     def label_entries(self, labels) -> list:
         """The label-index entries whose union is the nodes carrying at
@@ -425,28 +459,23 @@ def path_pairs(path, g: PropertyGraph, _cache=None):
     elif isinstance(path, UnionPath):
         result = frozenset().union(*(path_pairs(b, g, _cache) for b in path.branches))
     else:
-        result = frozenset((u, v) for u in _walk_ends(path, g, None, False, _cache)
-                           for v in _walk_ends(path, g, {u}, True, _cache))
+        result = frozenset((u, v) for u in _walk_ends(path, g, None, False)
+                           for v in _walk_ends(path, g, {u}, True))
     _cache[path] = result
     return result
 
 
-def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
+def _walk_ends(path, g: PropertyGraph, ends, forward: bool) -> set:
     """The nodes that start a walk matching `path` and ending in `ends`, or,
     when `forward`, that end such a walk starting in `ends`; `ends` None
-    stands for every node.  Evaluated a set of nodes at a time; `cache` is
-    the caller's memo table, where each edge step's map from a node to
-    the nodes one edge away is kept under (role name, end taken)."""
+    stands for every node.  Evaluated a set of nodes at a time, an edge
+    step through the graph's `step_map`."""
     if isinstance(path, EdgeStep):
         # Position, in the role's stored (src, dst) pairs, of the end we return.
         far = int(path.role.inverted != forward)
         if ends is None:
             return {pair[far] for pair in g.pairs(path.role.name)}
-        step = cache.get((path.role.name, far))
-        if step is None:
-            step = cache[(path.role.name, far)] = {}
-            for pair in g.pairs(path.role.name):
-                step.setdefault(pair[1 - far], []).append(pair[far])
+        step = g.step_map(path.role.name, far)
         out = set()
         for node in ends:
             out.update(step.get(node, ()))
@@ -456,12 +485,12 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
         return set(nodes) if ends is None else ends.intersection(nodes)
     if isinstance(path, Concat):
         for part in (path.parts if forward else reversed(path.parts)):
-            ends = _walk_ends(part, g, ends, forward, cache)
+            ends = _walk_ends(part, g, ends, forward)
             if not ends:
                 break
         return ends
     if isinstance(path, UnionPath):
-        return set().union(*(_walk_ends(branch, g, ends, forward, cache)
+        return set().union(*(_walk_ends(branch, g, ends, forward)
                              for branch in path.branches))
     if isinstance(path, Star):
         if ends is None:
@@ -469,7 +498,7 @@ def _walk_ends(path, g: PropertyGraph, ends, forward: bool, cache) -> set:
         reached = set(ends)
         frontier = reached
         while frontier:
-            frontier = _walk_ends(path.inner, g, frontier, forward, cache) - reached
+            frontier = _walk_ends(path.inner, g, frontier, forward) - reached
             reached |= frontier
         return reached
     raise TypeError(f"not a path expression: {path!r}")
@@ -510,7 +539,7 @@ def _dangling_relation(atom, g: PropertyGraph, cache, seen):
     key = (atom.path, forward)
     rows = cache.get(key)
     if rows is None:
-        rows = cache[key] = _walk_ends(atom.path, g, None, forward, cache)
+        rows = cache[key] = _walk_ends(atom.path, g, None, forward)
     return (kept,), rows
 
 
@@ -645,8 +674,7 @@ def eval_query(q, g: PropertyGraph) -> set:
     Raises ValueError when a data-test variable occurs in no other atom.
     """
     # One memo table, shared by the branches of a union: path -> pairs, data
-    # test -> predicate, and, under tuple keys, dangling atoms' node sets
-    # and `_walk_ends`'s edge maps.
+    # test -> predicate, and (path, forward) -> a dangling atom's node set.
     cache = {}
     if isinstance(q, UC2RPQ):
         out = set()

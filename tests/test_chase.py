@@ -7,7 +7,7 @@ from corpus import random_instance
 from oracles import make_graph, random_graph, raw_certain_labels, round_robin_chase
 
 from ontopath.chase import chase, certain_answers
-from ontopath.graph import eval_query, graph_to_jsonl
+from ontopath.graph import eval_query, graph_to_jsonl, load_graph
 from ontopath.query import parse_query
 from ontopath.tbox import as_axiom, normalize, parse_tbox
 
@@ -236,14 +236,41 @@ def _base_answers(q, g, t, depth):
             if all(node in g.labels for node in answer)}
 
 
+# Navigational queries over the corpus names: relevance must follow
+# concatenations, unions, node tests and stars, which `random_query`,
+# making plain role atoms only, never writes.
+_PATH_QUERIES = [parse_query(text, extended=True) for text in (
+    "q(x) :- (r0.inv(r1))(x,y), A2(y)",
+    "q(x) :- (r0|inv(r2).<A1>)(x,y)",
+    "q(x) :- (<A3|A4>.r1*)(x,y)",
+    "q(x,y) :- (r2.(r0|r3)*.<A5>)(x,y)",
+)]
+
+
 def test_certain_answers_equal_answers_over_the_full_chase():
     """Chasing only the axioms a query can observe loses no answer and adds none."""
     rng = random.Random(2024)
     for _ in range(500):
         t, g, q = random_instance(rng)
-        for depth in range(4):
-            assert certain_answers(q, g, t, depth) == _base_answers(q, g, t, depth), (
-                str(t), str(q), graph_to_jsonl(g), depth)
+        for query in (q, *_PATH_QUERIES):
+            for depth in range(4):
+                assert (certain_answers(query, g, t, depth)
+                        == _base_answers(query, g, t, depth)), (
+                    str(t), str(query), graph_to_jsonl(g), depth)
+
+
+def test_eval_over_a_chased_graph_equals_eval_over_its_reload():
+    # The chase builds and extends the chased graph's step maps, and
+    # evaluating over the chased graph reuses them; a reload builds them
+    # afresh from its edges.
+    rng = random.Random(7)
+    for _ in range(100):
+        t, g, q = random_instance(rng)
+        chased = chase(g, t, 3)
+        reloaded = load_graph(graph_to_jsonl(chased))
+        for query in (q, *_PATH_QUERIES):
+            assert eval_query(query, chased) == eval_query(query, reloaded), (
+                str(t), str(query), graph_to_jsonl(g))
 
 
 def _chased_axioms(monkeypatch):

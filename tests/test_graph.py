@@ -241,6 +241,24 @@ def test_edge_props_added_after_copy_stay_in_their_graph(writer):
     assert other.node_props == written.node_props == {"a": {"k": 1}, "b": {}}
 
 
+def _step_maps(g):
+    """Every step map of g, its lists sorted; reading one builds it."""
+    return {(role, end): {node: sorted(ends) for node, ends in g.step_map(role, end).items()}
+            for role in ("r", "s", "t") for end in (0, 1)}
+
+
+def _step_maps_from_pairs(g):
+    """The step maps as the pair index gives them now."""
+    maps = {}
+    for role in ("r", "s", "t"):
+        for end in (0, 1):
+            step = maps[(role, end)] = {}
+            for pair in g.pairs(role):
+                step.setdefault(pair[1 - end], []).append(pair[end])
+    return {key: {node: sorted(ends) for node, ends in step.items()}
+            for key, step in maps.items()}
+
+
 def _observed(g):
     """What every reader sees of g, in containers that no later write to g
     can reach."""
@@ -249,7 +267,8 @@ def _observed(g):
             {role: set(g.pairs(role)) for role in ("r", "s", "t")},
             g.edges,
             {n: dict(props) for n, props in g.node_props.items()},
-            {pair: dict(props) for pair, props in g.edge_props.items()})
+            {pair: dict(props) for pair, props in g.edge_props.items()},
+            _step_maps(g))
 
 
 _WRITES = {
@@ -260,6 +279,7 @@ _WRITES = {
     "add_edge, new role": lambda g: g.add_edge("c", "t", "a"),
     "add_edge, existing role, props": lambda g: g.add_edge("c", "r", "b", {"w": 5}),
     "add_edge, new role, props": lambda g: g.add_edge("a", "t", "c", {"w": 6}),
+    "add_edge, parallel edge": lambda g: g.add_edge("a", "r", "b", {"k": 7}),
     "add_edges, existing role": lambda g: g.add_edges("r", {("a", "b"), ("b", "c")}),
     "add_edges, new role": lambda g: g.add_edges("t", {("c", "a"), ("a", "a")}),
 }
@@ -283,9 +303,13 @@ _COPIES = {
 def test_writes_after_copy_stay_in_their_graph(write, copies, first):
     # Copies share index sets until one of them writes one; every graph of
     # the family writes in turn, and no other graph may see the write.
+    # Observing a graph builds its step maps, so each write extends maps
+    # that exist; the original has built its own before it is copied, and a
+    # copy starts with none.
     g = make_graph({"a": ["A"], "b": ["A", "B"], "c": []},
                    [("a", "r", "b"), ("b", "s", "a")],
                    node_props={"a": {"k": 1}}, edge_props={("a", "b"): {"w": 2}})
+    _step_maps(g)
     family = copies(g)
     if first == "last copy":
         family.reverse()
@@ -296,6 +320,8 @@ def test_writes_after_copy_stay_in_their_graph(write, copies, first):
         write(written)
         assert _observed(written) != unwritten
         assert [_observed(h) for h in others] == before
+        for h in family:
+            assert _step_maps(h) == _step_maps_from_pairs(h)
 
 
 def test_add_edges_adds_only_missing_pairs_between_nodes():

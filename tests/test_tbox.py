@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ontopath.errors import FragmentViolation, TBoxSyntaxError
 from ontopath.tbox import (
+    And,
     AtomicInclusion,
     ConceptInclusion,
     ConjInclusion,
@@ -13,6 +14,7 @@ from ontopath.tbox import (
     Name,
     Role,
     RoleInclusion,
+    TBox,
     Top,
     as_axiom,
     conj,
@@ -93,18 +95,38 @@ def test_conj_is_commutative_for_equality():
     assert conj([Name("A"), Top()]) == Name("A")
 
 
-def test_validate_accepts_fragment_member():
-    validate_fragment(parse_tbox("Teacher <= exists teaches . Student"))
+@pytest.mark.parametrize("axiom", [
+    parse_one("Teacher <= exists teaches . Student"),
+    parse_one("A & B <= exists r . top"),
+    RoleInclusion(Role("teaches"), Role("knows", inverted=True)),
+])
+def test_validate_accepts_fragment_member(axiom):
+    validate_fragment(TBox((axiom,)))
 
 
-def test_validate_rejects_foreign_construct():
-    class Weird:
-        pass
+class _Weird:
+    pass
 
-    t = parse_tbox("A <= B")
-    bad = type(t)((ConceptInclusion(Name("A"), Weird()),))
-    with pytest.raises(FragmentViolation):
-        validate_fragment(bad)
+
+# Axioms that parsing never produces, built directly, with the construct
+# each violation names.  A name that starts with the reserved prefix
+# already fails the case convention.
+@pytest.mark.parametrize("axiom, construct", [
+    (ConceptInclusion(Name("A"), _Weird()), "_Weird"),
+    (ConceptInclusion(Name("A"), Exists(Role("R"), Name("B"))), "role name"),
+    (ConceptInclusion(Exists(Role("__nf0"), Top()), Name("B")), "role name"),
+    (ConceptInclusion(Name("A"), Exists(Role("inv"), Name("B"))), "role name"),
+    (RoleInclusion(Role("r"), Role("inv")), "role name"),
+    (ConceptInclusion(Name("a"), Name("B")), "concept name"),
+    (ConceptInclusion(Name("A"), Name("__nf0")), "concept name"),
+    (ConceptInclusion(And((Name("A"),)), Name("B")), "conjunction"),
+    (_Weird(), "_Weird"),
+])
+def test_validate_rejects_foreign_construct(axiom, construct):
+    with pytest.raises(FragmentViolation) as err:
+        validate_fragment(TBox((axiom,)))
+    assert err.value.construct == construct
+    assert err.value.axiom is axiom
 
 
 def test_normalize_splits_right_conjunction():
