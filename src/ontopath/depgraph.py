@@ -10,9 +10,13 @@ Three queries are answered here:
   over the conjunction hyperedges of the concept and of its subsumees);
 * ``rewr_concept``: a regular path expression matching exactly the
   data-level derivations of a concept, obtained by reading the graph as a
-  finite automaton and eliminating states (deepest first; each state keeps
-  a successor map and a predecessor set, so an elimination touches only
-  the state's own edges);
+  finite automaton and eliminating states.  Each step eliminates the state
+  of least weight, the characters its elimination adds (Delgado & Morais,
+  CIAA 2004), with ties to the deepest state and then by name.  Each edge
+  carries its expression's text length and each state the sums over its
+  edges, so a weight costs O(1); each state keeps a successor map and a
+  predecessor set, so an elimination touches only the state's own edges.
+  Past the graph's `max_path_size` characters, it raises;
 * ``rewrite_role``: the union of a role's entailed subroles.
 
 To keep rewritings complete on entailments that route through existential
@@ -20,7 +24,9 @@ witnesses, the graph also runs a consequence-driven label completion: for
 every concept name a set of certain subsumers, and for every existential
 axiom the labels certainly carried by its witness (including effects of the
 edge back to the witness's parent).  Each label set is closed by a
-worklist over indexes built once per graph.  Derived subsumptions feed
+worklist over indexes built once per graph, and semi-naively: after one
+pass over every set, a set is closed again only when a set it reads has
+gained a label its closure looks at.  Derived subsumptions feed
 extra epsilon transitions into the automaton, so one concept path covers
 every entailed subsumee; everything remains sound because each completion
 rule is valid in every model.
@@ -39,6 +45,7 @@ from .query import (
     Star,
     UnionPath,
     concat_path,
+    path_to_str,
     star_path,
     union_path,
 )
@@ -56,6 +63,7 @@ from .tbox import (
 )
 
 DEFAULT_WITNESS_CAP = 1024
+DEFAULT_MAX_PATH_SIZE = 1_000_000
 
 
 class RoleOrder:
@@ -110,9 +118,10 @@ class DependencyGraph:
     so sharing one graph across threads is safe.
     """
 
-    def __init__(self, t: TBox):
+    def __init__(self, t: TBox, max_path_size: int = DEFAULT_MAX_PATH_SIZE):
         t = normalize(t)
         self.tbox = t
+        self.max_path_size = max_path_size
         nf = t.normalized
         self.nodes = concept_names(nf)
         self.eps_edges = tuple(
@@ -126,7 +135,8 @@ class DependencyGraph:
             (i, ax) for i, ax in enumerate(nf) if isinstance(ax, ExistsRight))
         # Indexes for the label closure's worklist: ε-edges by subsumee,
         # conjunctions by member, and for each existential axiom the role
-        # edges (rhs, filler) its witness's edge from the parent matches.
+        # edges (rhs, filler) its witness's edge from the parent matches,
+        # read from the parent and, reversed, from the witness.
         self._supers = {}
         for sup, sub in self.eps_edges:
             self._supers.setdefault(sub, []).append(sup)
@@ -136,17 +146,25 @@ class DependencyGraph:
                 self._conj_by_part.setdefault(part, []).append((sup, parts))
         self._ex_right_by_lhs = {}
         self._edges_to_witness = {}
+        self._edges_to_parent = {}
         for i, ax in self.ex_right:
             self._ex_right_by_lhs.setdefault(ax.lhs, []).append(i)
             self._edges_to_witness[i] = [
                 (sup, filler) for sup, role, filler in self.role_edges
                 if self.roles.is_subrole(ax.role, role)]
+            back = ax.role.inverse()
+            self._edges_to_parent[i] = [
+                (sup, filler) for sup, role, filler in self.role_edges
+                if self.roles.is_subrole(back, role)]
         self._subsumers = {}
         self._witness_labels = {}
         self._complete()
+        # Transitions by source state, as (regex, dst) with the regex in
+        # the form `_eliminate` works on.
         self._outgoing = {}
         for src, label, dst in self._build_automaton():
-            self._outgoing.setdefault(src, []).append((label, dst))
+            regex = _EPS if label is None else (False, label, _path_size(label))
+            self._outgoing.setdefault(src, []).append((regex, dst))
         self._concept_paths = {}
         self._hypothesis_cache = {}
         # For `witness`: conjunctions by each non-top subsumer of their
@@ -162,9 +180,10 @@ class DependencyGraph:
     def _close_labels(self, labels, parent) -> set:
         """Close a label set under all non-generating consequences.
 
-        `parent`, when given, is a pair (parent labels, role from parent):
-        the closed set then describes an existential witness that carries an
-        inverse edge back to a parent with (at least) those labels.
+        `parent`, when given, is a pair (parent labels, index of an
+        ExistsRight axiom): the closed set then describes that axiom's
+        witness, which carries an inverse edge back to a parent with (at
+        least) those labels.
 
         Every rule is monotone, so a worklist of newly added labels reaches
         the same least fixpoint as rescanning all rules until none fires.
@@ -173,10 +192,9 @@ class DependencyGraph:
         stack = list(labels)
         stack.append(TOP)
         if parent is not None:
-            parent_labels, role_in = parent
-            back = role_in.inverse()
-            for sup, role, filler in self.role_edges:
-                if filler in parent_labels and self.roles.is_subrole(back, role):
+            parent_labels, i = parent
+            for sup, filler in self._edges_to_parent[i]:
+                if filler in parent_labels:
                     stack.append(sup)
         while stack:
             name = stack.pop()
@@ -196,26 +214,56 @@ class DependencyGraph:
         return out
 
     def _complete(self):
-        for name in self.nodes:
-            self._subsumers[name] = {name, TOP}
+        """Close every name's subsumers and every witness's labels together.
+
+        Semi-naive: each set is closed once, and then again only when a set
+        its closure reads has gained a label that closure looks at.  A
+        name's closure reads, in the witness set of each existential axiom
+        whose left-hand side it holds, the fillers of the role edges that
+        the axiom's edge matches; a witness set reads those too, and, in
+        its axiom's `_subsumers[lhs]`, the fillers of the role edges that
+        the edge back to the parent matches.  Closing only grows a set, so
+        the least fixpoint is the one round-robin rounds would reach.
+        """
+        subsumers, witnessed = self._subsumers, self._witness_labels
         for i, ax in self.ex_right:
-            self._witness_labels[i] = {ax.filler, TOP}
-        changed = True
-        while changed:
-            changed = False
-            for name in self.nodes:
-                closed = self._close_labels(self._subsumers[name], None)
-                if closed != self._subsumers[name]:
-                    self._subsumers[name] = closed
-                    changed = True
-            for i, ax in self.ex_right:
-                closed = self._close_labels(
-                    self._witness_labels[i], (self._subsumers[ax.lhs], ax.role))
-                if closed != self._witness_labels[i]:
-                    self._witness_labels[i] = closed
-                    changed = True
-        self._subsumers = {n: frozenset(s) for n, s in self._subsumers.items()}
-        self._witness_labels = {i: frozenset(s) for i, s in self._witness_labels.items()}
+            witnessed[i] = {ax.filler, TOP}
+        for name in self.nodes:
+            subsumers[name] = self._close_labels({name}, None)
+        axioms = self.tbox.normalized
+        # Names are strings and witness sets axiom indexes.
+        queue = deque(i for i, _ in self.ex_right)
+        queued = set(queue)
+        while queue:
+            item = queue.popleft()
+            queued.discard(item)
+            if isinstance(item, str):
+                old = subsumers[item]
+                closed = self._close_labels(old, None)
+                if len(closed) == len(old):
+                    continue
+                subsumers[item] = closed
+                gained = closed - old
+                readers = [j for j in self._ex_right_by_lhs.get(item, ())
+                           if any(f in gained for _, f in self._edges_to_parent[j])]
+            else:
+                ax = axioms[item]
+                old = witnessed[item]
+                closed = self._close_labels(old, (subsumers[ax.lhs], item))
+                if len(closed) == len(old):
+                    continue
+                witnessed[item] = closed
+                gained = closed - old
+                if not any(f in gained for _, f in self._edges_to_witness[item]):
+                    continue
+                readers = [n for n in self.nodes if ax.lhs in subsumers[n]]
+                readers.extend(j for j, _ in self.ex_right if ax.lhs in witnessed[j])
+            for reader in readers:
+                if reader not in queued:
+                    queued.add(reader)
+                    queue.append(reader)
+        self._subsumers = {n: frozenset(s) for n, s in subsumers.items()}
+        self._witness_labels = {i: frozenset(s) for i, s in witnessed.items()}
 
     def subsumers(self, name: str) -> frozenset:
         """Concept names certainly entailed for anything labeled `name`."""
@@ -242,7 +290,7 @@ class DependencyGraph:
             seed = {ax.lhs, extra_parent_label}
             while True:
                 parent = self._close_labels(seed, None)
-                hit = frozenset(self._close_labels({ax.filler}, (parent, ax.role)))
+                hit = frozenset(self._close_labels({ax.filler}, (parent, axiom_index)))
                 gained = {sup for sup, filler in self._edges_to_witness[axiom_index]
                           if filler in hit} - parent
                 if not gained:
@@ -318,49 +366,99 @@ class DependencyGraph:
             frontier = nxt
 
         # succ[u][v] is the regex on the edge u -> v; pred[v] holds every u
-        # with such an edge, as an insertion-ordered dict.
+        # with such an edge, as an insertion-ordered dict.  size_in[v] and
+        # size_out[u] sum the sizes of a state's edges other than its loop.
         START, FINAL = "\x00start", "\x00final"
         succ = {START: {}}
         pred = {FINAL: {}}
         for state in depth:
             succ[state] = {}
             pred[state] = {}
+        size_in = dict.fromkeys(pred, 0)
+        size_out = dict.fromkeys(succ, 0)
+        cap = self.max_path_size
 
         def merge(u, v, regex):
             out = succ[u]
             old = out.get(v)
             if old is None:
-                out[v] = regex
                 pred[v][u] = None
+                grown = regex[2]
             elif regex != _EPS or not _r_accepts_epsilon(old):
-                out[v] = _r_union(old, regex)
+                regex = _r_union(old, regex)
+                grown = regex[2] - old[2]
+            else:
+                return
+            if regex[2] > cap:
+                raise BudgetExceededError(
+                    f"concept path for {start!r} exceeds {cap} characters")
+            out[v] = regex
+            if u != v:
+                size_out[u] += grown
+                size_in[v] += grown
 
         merge(START, start, _EPS)
         for src in depth:
-            for label, dst in outgoing.get(src, ()):
-                merge(src, dst, _EPS if label is None else (False, label))
+            for regex, dst in outgoing.get(src, ()):
+                merge(src, dst, regex)
         for state in sorted(depth):
             if state == TOP:
                 merge(state, FINAL, _EPS)
             else:
-                merge(state, FINAL, (False, NodeTest(frozenset({state}))))
+                merge(state, FINAL, (False, NodeTest(frozenset({state})), len(state) + 2))
 
-        order = sorted(depth, key=lambda s: (-depth[s], s))
-        for state in order:
+        def priority(s):
+            """The size eliminating s adds (Delgado & Morais, CIAA 2004),
+            then the deepest state first, then by name."""
+            out = succ[s]
+            ins = len(pred[s])
+            outs = len(out)
+            loop = out.get(s)
+            if loop is None:
+                loop = _EPS
+            else:
+                ins -= 1
+                outs -= 1
+            return (size_in[s] * (outs - 1) + size_out[s] * (ins - 1)
+                    + loop[2] * (ins * outs - 1), -depth[s], s)
+
+        remaining = set(depth)
+        while remaining:
+            state = min(remaining, key=priority) if len(remaining) > 1 else remaining.pop()
+            remaining.discard(state)
             outs = succ.pop(state)
             ins = pred.pop(state)
             loop_star = _r_star(outs.pop(state, None))
             ins.pop(state, None)
-            for v in outs:
+            for v, r_out in outs.items():
                 del pred[v][state]
+                size_in[v] -= r_out[2]
             for u in ins:
-                prefix = _r_concat(succ[u].pop(state), loop_star)
+                r_in = succ[u].pop(state)
+                size_out[u] -= r_in[2]
+                prefix = _r_concat(r_in, loop_star)
                 for v, r_out in outs.items():
                     merge(u, v, _r_concat(prefix, r_out))
         return _r_to_path(succ[START].get(FINAL))
 
 
-# -- regexes during elimination: (accepts_epsilon, expr-or-None) --------------
+# -- regexes during elimination: (accepts_epsilon, expr-or-None, size) --------
+#
+# A regex's size is its expression's text length (`path_to_str`), kept
+# without rendering: a concatenation adds its parts' sizes, and a union adds
+# the lengths of its branches, whose text `union_path` has already cached
+# by sorting on it.
+
+
+def _path_size(p: PathExpr) -> int:
+    """Text length of a path: O(1) for a composite whose text is cached."""
+    if isinstance(p, EdgeStep):
+        return len(p.role.name) + 5 * p.role.inverted  # inv(...)
+    if isinstance(p, NodeTest):
+        return sum(map(len, p.labels)) + len(p.labels) + 1
+    if isinstance(p, UnionPath):
+        return sum(map(_path_size, p.branches)) + len(p.branches) - 1
+    return len(path_to_str(p))
 
 
 def _nullable(expr: PathExpr) -> bool:
@@ -374,13 +472,13 @@ def _nullable(expr: PathExpr) -> bool:
     return False
 
 
-def _r(eps, expr):
+def _r(eps, expr, size):
     if eps and _nullable(expr):
         eps = False
-    return (eps, expr)
+    return (eps, expr, size)
 
 
-_EPS = (True, None)  # the only regex without an expression
+_EPS = (True, None, 0)  # the only regex without an expression
 
 
 def _r_accepts_epsilon(a) -> bool:
@@ -390,8 +488,12 @@ def _r_accepts_epsilon(a) -> bool:
 
 def _r_union(a, b):
     eps = a[0] or b[0]
-    exprs = [x for x in (a[1], b[1]) if x is not None]
-    return _r(eps, exprs[0] if len(exprs) == 1 else union_path(exprs))
+    if a[1] is None:
+        return _r(eps, b[1], b[2])
+    if b[1] is None:
+        return _r(eps, a[1], a[2])
+    expr = union_path([a[1], b[1]])
+    return _r(eps, expr, _path_size(expr))
 
 
 def _r_concat(a, b):
@@ -400,22 +502,42 @@ def _r_concat(a, b):
     if b == _EPS:
         return a
     eps = a[0] and b[0]
-    branches = [concat_path([a[1], b[1]])]
+    x, y = a[1], b[1]
+    both = concat_path([x, y])
+    if isinstance(x, NodeTest) and x == ANY_NODE:  # concat_path drops it
+        size = b[2]
+    elif isinstance(y, NodeTest) and y == ANY_NODE:
+        size = a[2]
+    else:
+        size = (a[2] + b[2] + 1 + 2 * isinstance(x, UnionPath)
+                + 2 * isinstance(y, UnionPath))
+    if not (a[0] or b[0]):
+        return _r(eps, both, size)
+    branches = [both]
     if a[0]:
-        branches.append(b[1])
+        branches.append(y)
     if b[0]:
-        branches.append(a[1])
-    return _r(eps, branches[0] if len(branches) == 1 else union_path(branches))
+        branches.append(x)
+    expr = union_path(branches)
+    return _r(eps, expr, _path_size(expr))
 
 
 def _r_star(a):
     if a is None or a[1] is None:
         return _EPS
-    return _r(True, star_path(a[1]))
+    inner = a[1]
+    expr = star_path(inner)
+    if expr is inner:
+        size = a[2]
+    elif isinstance(inner, NodeTest):
+        size = _path_size(expr)
+    else:
+        size = a[2] + 1 + 2 * isinstance(inner, (Concat, UnionPath))
+    return _r(True, expr, size)
 
 
 def _r_to_path(r) -> PathExpr:
-    eps, expr = r
+    eps, expr, _ = r
     if not eps or _nullable(expr):
         return expr
     return union_path([ANY_NODE, expr])
@@ -425,8 +547,11 @@ def _r_to_path(r) -> PathExpr:
 # Public operations
 
 
-def build_dependency_graph(t: TBox) -> DependencyGraph:
-    return DependencyGraph(t)
+def build_dependency_graph(t: TBox,
+                           max_path_size: int = DEFAULT_MAX_PATH_SIZE) -> DependencyGraph:
+    """Raises BudgetExceededError, from `rewr_concept`, when a concept path
+    grows past `max_path_size` characters while it is built."""
+    return DependencyGraph(t, max_path_size)
 
 
 def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .depgraph import (
+    DEFAULT_MAX_PATH_SIZE,
     DEFAULT_WITNESS_CAP,
     DependencyGraph,
     build_dependency_graph,
@@ -64,6 +65,7 @@ class RewriteBudget:
     max_queries: int = 10_000
     witness_cap: int = DEFAULT_WITNESS_CAP
     max_hypotheses_per_clip: int = 64
+    max_path_size: int = DEFAULT_MAX_PATH_SIZE  # characters per concept path
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     budget = budget or RewriteBudget()
     _check_ncq(q)
     t = normalize(t)
-    g = build_dependency_graph(t)
+    g = build_dependency_graph(t, budget.max_path_size)
     q0 = canon_query(q)
 
     saturated = _saturate_clipping(q0, g, budget)

@@ -373,9 +373,6 @@ def _walk_concepts(expr, axiom):
         if not _IDENT_RE.fullmatch(expr.name) or not expr.name[0].isupper():
             raise FragmentViolation(
                 f"invalid concept name {expr.name!r}", axiom, construct="concept name")
-        if expr.name.startswith(FRESH_PREFIX):
-            raise FragmentViolation(
-                f"reserved prefix in concept name {expr.name!r}", axiom, construct="reserved name")
         return
     if isinstance(expr, Exists):
         _check_role(expr.role, axiom)
@@ -396,9 +393,6 @@ def _check_role(role, axiom):
     if (not _IDENT_RE.fullmatch(role.name) or role.name in _KEYWORDS
             or not role.name[0].islower()):
         raise FragmentViolation(f"invalid role name {role.name!r}", axiom, construct="role name")
-    if role.name.startswith(FRESH_PREFIX):
-        raise FragmentViolation(
-            f"reserved prefix in role name {role.name!r}", axiom, construct="reserved name")
 
 
 def validate_fragment(t: TBox) -> None:

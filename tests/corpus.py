@@ -86,3 +86,34 @@ def random_instance(rng: random.Random):
                      edge_prob=0.18, prop_keys=PROP_KEYS)
     q = random_query(rng)
     return t, g, q
+
+
+def ontology_tbox(n, seed):
+    """TBox text at ontology scale: 1.5·n axioms over n concept names and
+    n // 4 roles, mixing all five axiom kinds with inverse roles and at most
+    max(3, n // 10) existential right-hand sides.  Every draw passes
+    `validate_fragment`; the query is `q(x) :- A0(x)`."""
+    rng = random.Random(1000 * n + seed)
+    names = [f"A{i}" for i in range(n)]
+    roles = [f"r{i}" for i in range(max(2, n // 4))]
+    def role():
+        r = rng.choice(roles)
+        return f"inv({r})" if rng.random() < 0.25 else r
+    cap, ex_right, axioms = max(3, n // 10), 0, []
+    for _ in range(int(1.5 * n)):
+        u = rng.random()
+        if u < 0.45:
+            a, b = rng.sample(names, 2); axioms.append(f"{a} <= {b}")
+        elif u < 0.55:
+            a, b, c = rng.sample(names, 3)
+            axioms.append(f"{a} & {b} <= {c}")
+        elif u < 0.85:
+            a, b = rng.sample(names, 2)
+            axioms.append(f"exists {role()} . {a} <= {b}")
+        elif u < 0.95 and ex_right < cap:
+            ex_right += 1
+            a, b = rng.sample(names, 2)
+            axioms.append(f"{a} <= exists {role()} . {b}")
+        else:
+            r1, r2 = rng.sample(roles, 2); axioms.append(f"{r1} <= {r2}")
+    return "\n".join(axioms)

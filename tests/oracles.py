@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from ontopath.chase import ANON_PREFIX
 from ontopath.graph import PropertyGraph
@@ -173,6 +174,54 @@ def brute_force_answers(q, g: PropertyGraph) -> set:
         if all(holds(atom, m) for atom in q.atoms):
             out.add(tuple(m[v] for v in q.answer_vars))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Concept automaton acceptor
+
+
+def automaton_accepts(dep, concept, g: PropertyGraph) -> set:
+    """Nodes of g from which the dependency graph's automaton accepts
+    `concept`, by breadth-first search over (node, state) pairs.
+
+    A state is a concept name and `dep._outgoing` lists its transitions
+    as (regex, state), the label second in the regex: an epsilon (None)
+    stays at the node, an edge step moves along g's
+    edges, and a zero-length label test stays at the node when the walk
+    oracle matches it there.  A pair (node, state) accepts when the node
+    carries the state's label, or when the state is the universal
+    concept.  No regex is built, so state elimination is not involved.
+    """
+    tests = {}
+
+    def moves(node, label):
+        if label is None:
+            return (node,)
+        if isinstance(label, EdgeStep):
+            name = label.role.name
+            if label.role.inverted:
+                return tuple(u for u, v in g.pairs(name) if v == node)
+            return tuple(v for u, v in g.pairs(name) if u == node)
+        pairs = tests.get(label)
+        if pairs is None:
+            pairs = tests[label] = walk_pairs(label, g)
+        return (node,) if (node, node) in pairs else ()
+
+    accepted = set()
+    for start in g.nodes:
+        seen = {(start, concept)}
+        frontier = deque([(start, concept)])
+        while frontier:
+            node, state = frontier.popleft()
+            if state == TOP or g.has_label(node, state):
+                accepted.add(start)
+                break
+            for (_, label, _), dst in dep._outgoing.get(state, ()):
+                for nxt in moves(node, label):
+                    if (nxt, dst) not in seen:
+                        seen.add((nxt, dst))
+                        frontier.append((nxt, dst))
+    return accepted
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from corpus import random_tbox
-from oracles import make_graph, random_graph
+from corpus import NAMES, ROLES, ontology_tbox, random_tbox
+from oracles import automaton_accepts, make_graph, random_graph
 
+from ontopath import depgraph
 from ontopath.chase import chase
 from ontopath.depgraph import (
     build_dependency_graph,
@@ -15,8 +20,17 @@ from ontopath.depgraph import (
 )
 from ontopath.errors import BudgetExceededError
 from ontopath.graph import eval_query, path_pairs
-from ontopath.query import C2RPQ, EdgeStep, NodeTest, RoleAtom, parse_query, path_to_str
-from ontopath.tbox import TOP, Role, parse_tbox
+from ontopath.query import (
+    C2RPQ,
+    EdgeStep,
+    NodeTest,
+    RoleAtom,
+    parse_query,
+    path_to_str,
+    rewriting_to_str,
+)
+from ontopath.rewriter import rewrite_ncq
+from ontopath.tbox import TOP, Role, parse_tbox, validate_fragment
 from oracles import unroll_stars
 
 
@@ -371,6 +385,143 @@ def test_worklist_label_closure_matches_the_rescanning_fixpoint():
             assert g.subsumers(name) == _rescanned_closure(g, g.subsumers(name), None)
         for i, ax in g.ex_right:
             parent = (g.subsumers(ax.lhs), ax.role)
-            assert (g._close_labels({ax.filler}, parent)
+            assert (g._close_labels({ax.filler}, (g.subsumers(ax.lhs), i))
                     == _rescanned_closure(g, {ax.filler}, parent))
             assert g.witness_labels(i) == _rescanned_closure(g, g.witness_labels(i), parent)
+
+
+def _round_robin_completion(g):
+    """Subsumers and witness labels by plain rounds: every rule over every
+    set until a round adds nothing, from the graph's edges alone."""
+    subsumers = {name: {name, TOP} for name in g.nodes}
+    witnessed = {i: {ax.filler, TOP} for i, ax in g.ex_right}
+
+    def derive(labels, parent):
+        new = {sup for sup, sub in g.eps_edges if sub in labels}
+        new |= {sup for sup, parts in g.conj_edges if parts <= labels}
+        for i, ax in g.ex_right:
+            if ax.lhs in labels:
+                new |= {sup for sup, role, filler in g.role_edges
+                        if g.roles.is_subrole(ax.role, role) and filler in witnessed[i]}
+        if parent is not None:
+            parent_labels, role_in = parent
+            new |= {sup for sup, role, filler in g.role_edges
+                    if g.roles.is_subrole(role_in.inverse(), role)
+                    and filler in parent_labels}
+        return new - labels
+
+    changed = True
+    while changed:
+        changed = False
+        for name in g.nodes:
+            new = derive(subsumers[name], None)
+            if new:
+                subsumers[name] |= new
+                changed = True
+        for i, ax in g.ex_right:
+            new = derive(witnessed[i], (subsumers[ax.lhs], ax.role))
+            if new:
+                witnessed[i] |= new
+                changed = True
+    return subsumers, witnessed
+
+
+def _completion_corpus():
+    rng = random.Random(1618)
+    for _ in range(500):
+        yield random_tbox(rng)
+    for n in range(16, 33, 4):
+        for seed in range(5):
+            yield parse_tbox(ontology_tbox(n, seed))
+
+
+def test_semi_naive_completion_matches_round_robin_rounds():
+    for t in _completion_corpus():
+        g = build_dependency_graph(t)
+        subsumers, witnessed = _round_robin_completion(g)
+        assert {name: g.subsumers(name) for name in g.nodes} == subsumers
+        assert {i: g.witness_labels(i) for i, _ in g.ex_right} == witnessed
+
+
+def test_completion_feeds_a_parent_label_back_to_its_witness():
+    # The witness gains E only once closed, which gives A the label C
+    # through the edge, and C on the parent gives the witness D.
+    g = dep("A <= exists r . B\nB <= E\nexists r . E <= C\nexists inv(r) . C <= D")
+    ((i, _ax),) = g.ex_right
+    assert {"C"} <= g.subsumers("A")
+    assert {"B", "E", "D"} <= g.witness_labels(i)
+
+
+def test_concept_paths_start_where_the_automaton_accepts():
+    rng = random.Random(4242)
+    for _ in range(120):
+        g = build_dependency_graph(random_tbox(rng))
+        graph = random_graph(rng, max_nodes=5, roles=tuple(ROLES),
+                             labels=tuple(NAMES), edge_prob=0.2)
+        for name in sorted(g.nodes):
+            starts = {u for u, _ in path_pairs(rewr_concept(name, g), graph)}
+            assert starts == automaton_accepts(g, name, graph), name
+
+
+@pytest.mark.parametrize("n, seed, limit", [(24, 9, 3000), (64, 8, 10_000)])
+def test_least_weight_order_keeps_ontology_paths_small(n, seed, limit):
+    # Eliminating deepest first gave 8563 and 80068 characters here.
+    u = rewrite_ncq(parse_query("q(x) :- A0(x)"), parse_tbox(ontology_tbox(n, seed)))
+    assert len(rewriting_to_str(u.to_uc2rpq())) < limit
+
+
+def test_regex_sizes_are_the_text_lengths_of_their_expressions():
+    rng = random.Random(99)
+    exprs = [EdgeStep(Role("r")), EdgeStep(Role("s", True)), NodeTest(frozenset({"A"}))]
+    for _ in range(40):
+        g = build_dependency_graph(random_tbox(rng))
+        exprs.extend(rewr_concept(name, g) for name in sorted(g.nodes))
+
+    def regex():
+        expr = rng.choice(exprs)
+        return depgraph._r(rng.random() < 0.3, expr, len(path_to_str(expr)))
+
+    for _ in range(2000):
+        a, b = regex(), regex()
+        for r in (depgraph._r_union(a, b), depgraph._r_concat(a, b), depgraph._r_star(a)):
+            assert r[2] == len(path_to_str(r[1])), r
+
+
+def test_path_size_cap_raises_naming_the_concept():
+    t = parse_tbox("exists partOf . Region <= Region")
+    assert path_to_str(rewr_concept("Region", build_dependency_graph(t, 16))) == (
+        "partOf*.<Region>")
+    g = build_dependency_graph(t, 15)
+    for _ in range(2):  # nothing over the cap is kept on the graph
+        with pytest.raises(BudgetExceededError, match="'Region' exceeds 15 characters"):
+            rewr_concept("Region", g)
+
+
+_ONTOLOGY_INSTANCE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from corpus import ontology_tbox
+from ontopath import BudgetExceededError, parse_query, parse_tbox, rewrite_ncq
+from ontopath.query import rewriting_to_str
+t = parse_tbox(ontology_tbox(48, 7))
+try:
+    u = rewrite_ncq(parse_query("q(x) :- A0(x)"), t).to_uc2rpq()
+except BudgetExceededError:
+    print("over budget")
+else:
+    print(len(rewriting_to_str(u)))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_ontology_instance_rewrites_small_within_a_memory_limit():
+    # Deepest-first elimination turned this validated 72-axiom TBox into
+    # about 490 million characters; it must now fit, or at worst raise.
+    validate_fragment(parse_tbox(ontology_tbox(48, 7)))
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", _ONTOLOGY_INSTANCE], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.strip()
+    assert out == "over budget" or int(out) < 10 ** 5, out
