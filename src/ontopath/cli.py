@@ -32,7 +32,7 @@ EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
 
 _ENV_PREFIX = "ONTOPATH_"
-_CONFIG_KEYS = ("max_queries", "witness_cap", "max_path_size", "depth")
+_CONFIG_KEYS = ("max_queries", "witness_cap", "depth")
 
 
 class UsageError(OntopathError):
@@ -48,13 +48,11 @@ class _Parser(argparse.ArgumentParser):
 class Config:
     max_queries: int = RewriteBudget.max_queries
     witness_cap: int = RewriteBudget.witness_cap
-    max_path_size: int = RewriteBudget.max_path_size
     depth: int = 3
 
     def budget(self) -> RewriteBudget:
         return RewriteBudget(max_queries=self.max_queries,
-                             witness_cap=self.witness_cap,
-                             max_path_size=self.max_path_size)
+                             witness_cap=self.witness_cap)
 
 
 def _read_config_file(path: str) -> dict:
@@ -86,7 +84,7 @@ def load_config(args) -> Config:
     flag_layer = {}
     if getattr(args, "depth", None) is not None:
         flag_layer["depth"] = args.depth
-    for key in ("max_queries", "witness_cap", "max_path_size"):
+    for key in ("max_queries", "witness_cap"):
         value = getattr(args, key, None)
         if value is not None:
             flag_layer[key] = value
@@ -215,7 +213,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--max-queries", dest="max_queries", type=int, default=None)
         p.add_argument("--witness-cap", dest="witness_cap", type=int, default=None)
-        p.add_argument("--max-path-size", dest="max_path_size", type=int, default=None)
 
     p = sub.add_parser("rewrite", help="rewrite a query against a TBox")
     common(p, tbox=True, query=True)

@@ -16,7 +16,7 @@ Three queries are answered here:
   carries its expression's text length and each state the sums over its
   edges, so a weight costs O(1); each state keeps a successor map and a
   predecessor set, so an elimination touches only the state's own edges.
-  Past the graph's `max_path_size` characters, it raises;
+  An expression longer than `MAX_PATH_SIZE` characters raises;
 * ``rewrite_role``: the union of a role's entailed subroles.
 
 To keep rewritings complete on entailments that route through existential
@@ -45,7 +45,7 @@ from .query import (
     Star,
     UnionPath,
     concat_path,
-    path_to_str,
+    path_size,
     star_path,
     union_path,
 )
@@ -63,7 +63,8 @@ from .tbox import (
 )
 
 DEFAULT_WITNESS_CAP = 1024
-DEFAULT_MAX_PATH_SIZE = 1_000_000
+# Characters per expression built while a concept path is eliminated.
+MAX_PATH_SIZE = 1_000_000
 
 
 class RoleOrder:
@@ -118,10 +119,9 @@ class DependencyGraph:
     so sharing one graph across threads is safe.
     """
 
-    def __init__(self, t: TBox, max_path_size: int = DEFAULT_MAX_PATH_SIZE):
+    def __init__(self, t: TBox):
         t = normalize(t)
         self.tbox = t
-        self.max_path_size = max_path_size
         nf = t.normalized
         self.nodes = concept_names(nf)
         self.eps_edges = tuple(
@@ -163,7 +163,7 @@ class DependencyGraph:
         # the form `_eliminate` works on.
         self._outgoing = {}
         for src, label, dst in self._build_automaton():
-            regex = _EPS if label is None else (False, label, _path_size(label))
+            regex = _EPS if label is None else _r(False, label)
             self._outgoing.setdefault(src, []).append((regex, dst))
         self._concept_paths = {}
         self._hypothesis_cache = {}
@@ -364,6 +364,13 @@ class DependencyGraph:
                         depth[dst] = depth[state] + 1
                         nxt.append(dst)
             frontier = nxt
+        if len(depth) == 1:
+            # A lone state needs no order: its loops' star, then its test.
+            loop = None
+            for regex, _ in outgoing[start]:
+                loop = regex if loop is None else _r_union(loop, regex)
+            final = _EPS if start == TOP else _r(False, NodeTest(frozenset({start})))
+            return _r_to_path(_capped(start, _r_concat(_r_star(loop), final)))
 
         # succ[u][v] is the regex on the edge u -> v; pred[v] holds every u
         # with such an edge, as an insertion-ordered dict.  size_in[v] and
@@ -376,7 +383,6 @@ class DependencyGraph:
             pred[state] = {}
         size_in = dict.fromkeys(pred, 0)
         size_out = dict.fromkeys(succ, 0)
-        cap = self.max_path_size
 
         def merge(u, v, regex):
             out = succ[u]
@@ -389,10 +395,7 @@ class DependencyGraph:
                 grown = regex[2] - old[2]
             else:
                 return
-            if regex[2] > cap:
-                raise BudgetExceededError(
-                    f"concept path for {start!r} exceeds {cap} characters")
-            out[v] = regex
+            out[v] = _capped(start, regex)
             if u != v:
                 size_out[u] += grown
                 size_in[v] += grown
@@ -405,7 +408,7 @@ class DependencyGraph:
             if state == TOP:
                 merge(state, FINAL, _EPS)
             else:
-                merge(state, FINAL, (False, NodeTest(frozenset({state})), len(state) + 2))
+                merge(state, FINAL, _r(False, NodeTest(frozenset({state}))))
 
         def priority(s):
             """The size eliminating s adds (Delgado & Morais, CIAA 2004),
@@ -444,21 +447,8 @@ class DependencyGraph:
 
 # -- regexes during elimination: (accepts_epsilon, expr-or-None, size) --------
 #
-# A regex's size is its expression's text length (`path_to_str`), kept
-# without rendering: a concatenation adds its parts' sizes, and a union adds
-# the lengths of its branches, whose text `union_path` has already cached
-# by sorting on it.
-
-
-def _path_size(p: PathExpr) -> int:
-    """Text length of a path: O(1) for a composite whose text is cached."""
-    if isinstance(p, EdgeStep):
-        return len(p.role.name) + 5 * p.role.inverted  # inv(...)
-    if isinstance(p, NodeTest):
-        return sum(map(len, p.labels)) + len(p.labels) + 1
-    if isinstance(p, UnionPath):
-        return sum(map(_path_size, p.branches)) + len(p.branches) - 1
-    return len(path_to_str(p))
+# A regex's size is its expression's text length, `path_size`, which a
+# composite keeps once computed, so no regex is rendered to weigh it.
 
 
 def _nullable(expr: PathExpr) -> bool:
@@ -472,10 +462,10 @@ def _nullable(expr: PathExpr) -> bool:
     return False
 
 
-def _r(eps, expr, size):
+def _r(eps, expr):
     if eps and _nullable(expr):
         eps = False
-    return (eps, expr, size)
+    return (eps, expr, path_size(expr))
 
 
 _EPS = (True, None, 0)  # the only regex without an expression
@@ -488,12 +478,8 @@ def _r_accepts_epsilon(a) -> bool:
 
 def _r_union(a, b):
     eps = a[0] or b[0]
-    if a[1] is None:
-        return _r(eps, b[1], b[2])
-    if b[1] is None:
-        return _r(eps, a[1], a[2])
-    expr = union_path([a[1], b[1]])
-    return _r(eps, expr, _path_size(expr))
+    exprs = [x for x in (a[1], b[1]) if x is not None]
+    return _r(eps, exprs[0] if len(exprs) == 1 else union_path(exprs))
 
 
 def _r_concat(a, b):
@@ -502,38 +488,26 @@ def _r_concat(a, b):
     if b == _EPS:
         return a
     eps = a[0] and b[0]
-    x, y = a[1], b[1]
-    both = concat_path([x, y])
-    if isinstance(x, NodeTest) and x == ANY_NODE:  # concat_path drops it
-        size = b[2]
-    elif isinstance(y, NodeTest) and y == ANY_NODE:
-        size = a[2]
-    else:
-        size = (a[2] + b[2] + 1 + 2 * isinstance(x, UnionPath)
-                + 2 * isinstance(y, UnionPath))
-    if not (a[0] or b[0]):
-        return _r(eps, both, size)
-    branches = [both]
+    branches = [concat_path([a[1], b[1]])]
     if a[0]:
-        branches.append(y)
+        branches.append(b[1])
     if b[0]:
-        branches.append(x)
-    expr = union_path(branches)
-    return _r(eps, expr, _path_size(expr))
+        branches.append(a[1])
+    return _r(eps, branches[0] if len(branches) == 1 else union_path(branches))
 
 
 def _r_star(a):
     if a is None or a[1] is None:
         return _EPS
-    inner = a[1]
-    expr = star_path(inner)
-    if expr is inner:
-        size = a[2]
-    elif isinstance(inner, NodeTest):
-        size = _path_size(expr)
-    else:
-        size = a[2] + 1 + 2 * isinstance(inner, (Concat, UnionPath))
-    return _r(True, expr, size)
+    return _r(True, star_path(a[1]))
+
+
+def _capped(start, r):
+    """r, unless its size passes the cap on the path of `start`."""
+    if r[2] > MAX_PATH_SIZE:
+        raise BudgetExceededError(
+            f"concept path for {start!r} exceeds {MAX_PATH_SIZE} characters")
+    return r
 
 
 def _r_to_path(r) -> PathExpr:
@@ -547,11 +521,8 @@ def _r_to_path(r) -> PathExpr:
 # Public operations
 
 
-def build_dependency_graph(t: TBox,
-                           max_path_size: int = DEFAULT_MAX_PATH_SIZE) -> DependencyGraph:
-    """Raises BudgetExceededError, from `rewr_concept`, when a concept path
-    grows past `max_path_size` characters while it is built."""
-    return DependencyGraph(t, max_path_size)
+def build_dependency_graph(t: TBox) -> DependencyGraph:
+    return DependencyGraph(t)
 
 
 def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):

@@ -14,10 +14,11 @@ arguments are canonical, and the parser, `inverse_path` and
 to canonicalize it; `canon_path`/`canon_query` are kept only at
 `rewrite_ncq`'s input, for hand-built queries.
 
-The composite nodes (`Concat`, `UnionPath`, `Star`) each keep three
+The composite nodes (`Concat`, `UnionPath`, `Star`) each keep four
 derived values once first asked for: their hash, their unparenthesized
-text (`path_to_str`, which is also `union_path`'s sort key) and their
-inverse (`inverse_path`).  The values are stored on the node itself,
+text (`path_to_str`, which is also `union_path`'s sort key), that text's
+length (`path_size`, computed from the parts' lengths without rendering)
+and their inverse (`inverse_path`).  The values are stored on the node itself,
 outside the dataclass fields, so equality and repr ignore them, and they
 die with the node; no table outlives a rewriting.  Pickling or copying a
 node carries its fields only, since a string's hash differs between
@@ -90,7 +91,7 @@ class _Composite(PathExpr):
     return their one field from `_fields`.
     """
 
-    _hash = _text = _inv = None  # shadowed on the instance once computed
+    _hash = _text = _size = _inv = None  # shadowed on the instance once computed
 
     def __hash__(self):
         h = self._hash
@@ -378,6 +379,33 @@ def path_to_str(p: PathExpr, prec: int = 0) -> str:
             s = "|".join(path_to_str(x, _PREC_UNION) for x in p.branches)
         object.__setattr__(p, "_text", s)
     return f"({s})" if p._prec < prec else s
+
+
+def path_size(p: PathExpr, prec: int = 0) -> int:
+    """`len(path_to_str(p, prec))` without rendering: a composite's size is
+    summed from its parts' sizes by the printer's rules, and kept."""
+    if isinstance(p, _Composite):
+        n = p._size
+        if n is None:
+            if p._text is not None:
+                n = len(p._text)
+            elif isinstance(p, Star):
+                n = path_size(p.inner, _PREC_STAR) + 1
+            else:
+                if isinstance(p, Concat):
+                    parts, inner = p.parts, _PREC_CONCAT
+                else:
+                    parts, inner = p.branches, _PREC_UNION
+                n = len(parts) - 1
+                for x in parts:
+                    n += path_size(x, inner)
+            object.__setattr__(p, "_size", n)
+        return n + 2 if p._prec < prec else n
+    if isinstance(p, EdgeStep):
+        return len(str(p.role))
+    if isinstance(p, NodeTest):
+        return sum(map(len, p.labels)) + len(p.labels) + 1
+    raise TypeError(f"not a path expression: {p!r}")
 
 
 def atom_to_str(atom) -> str:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from .depgraph import (
-    DEFAULT_MAX_PATH_SIZE,
     DEFAULT_WITNESS_CAP,
     DependencyGraph,
     build_dependency_graph,
@@ -65,7 +64,6 @@ class RewriteBudget:
     max_queries: int = 10_000
     witness_cap: int = DEFAULT_WITNESS_CAP
     max_hypotheses_per_clip: int = 64
-    max_path_size: int = DEFAULT_MAX_PATH_SIZE  # characters per concept path
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,7 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     budget = budget or RewriteBudget()
     _check_ncq(q)
     t = normalize(t)
-    g = build_dependency_graph(t, budget.max_path_size)
+    g = build_dependency_graph(t)
     q0 = canon_query(q)
 
     saturated = _saturate_clipping(q0, g, budget)

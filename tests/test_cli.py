@@ -4,6 +4,7 @@ import pytest
 
 from oracles import brute_force_answers
 
+from ontopath import depgraph
 from ontopath import tbox as tbox_module
 from ontopath.cli import main
 from ontopath.graph import load_graph
@@ -86,21 +87,19 @@ def test_budget_exits_4(capsys, teacher_files):
     assert "budget" in err
 
 
-def test_max_path_size_exits_4(capsys, tmp_path):
+def test_path_size_cap_exits_4(capsys, tmp_path, monkeypatch):
     tbox = tmp_path / "region.dl"
     tbox.write_text("exists partOf . Region <= Region\n")
     query = tmp_path / "region.ncq"
     query.write_text("q(x) :- Region(x)\n")
     argv = ["rewrite", "-t", str(tbox), "-q", str(query)]
-    code, out, _err = run(capsys, argv + ["--max-path-size", "16"])
+    monkeypatch.setattr(depgraph, "MAX_PATH_SIZE", 16)
+    code, out, _err = run(capsys, argv)
     assert (code, out) == (0, "q(x) :- (partOf*.<Region>)(x,__w0)\n")
-    code, out, err = run(capsys, argv + ["--max-path-size", "15"])
+    monkeypatch.setattr(depgraph, "MAX_PATH_SIZE", 15)
+    code, out, err = run(capsys, argv)
     assert (code, out) == (4, "")
     assert "'Region' exceeds 15 characters" in err
-    config = tmp_path / "conf"
-    config.write_text("max_path_size = 15\n")
-    code, _out, _err = run(capsys, argv + ["--config", str(config)])
-    assert code == 4
 
 
 def test_witness_cap_exits_4(capsys, tmp_path):

@@ -352,8 +352,10 @@ def test_witness_labels_with_hypothesis():
     assert "D" in g.witness_labels_with(idx, "E")
 
 
-def _rescanned_closure(g, labels, parent):
-    """The label closure as a fixpoint that rescans every rule until none fires."""
+def _rescanned_closure(g, labels, parent, witness_labels=None):
+    """The label closure as a fixpoint that rescans every rule until none
+    fires, reading witness sets from `witness_labels` (default the graph's)."""
+    witness_labels = witness_labels or g.witness_labels
     out = set(labels) | {TOP}
     changed = True
     while changed:
@@ -362,7 +364,7 @@ def _rescanned_closure(g, labels, parent):
         new |= {sup for sup, parts in g.conj_edges if parts <= out}
         for i, ax in g.ex_right:
             if ax.lhs in out:
-                child = g.witness_labels(i)
+                child = witness_labels(i)
                 new |= {sup for sup, role, filler in g.role_edges
                         if g.roles.is_subrole(ax.role, role) and filler in child}
         if parent is not None:
@@ -391,38 +393,23 @@ def test_worklist_label_closure_matches_the_rescanning_fixpoint():
 
 
 def _round_robin_completion(g):
-    """Subsumers and witness labels by plain rounds: every rule over every
-    set until a round adds nothing, from the graph's edges alone."""
+    """Subsumers and witness labels by plain rounds: every set closed by the
+    rescanning fixpoint, over the sets of the round so far, until a round
+    adds nothing."""
     subsumers = {name: {name, TOP} for name in g.nodes}
     witnessed = {i: {ax.filler, TOP} for i, ax in g.ex_right}
-
-    def derive(labels, parent):
-        new = {sup for sup, sub in g.eps_edges if sub in labels}
-        new |= {sup for sup, parts in g.conj_edges if parts <= labels}
-        for i, ax in g.ex_right:
-            if ax.lhs in labels:
-                new |= {sup for sup, role, filler in g.role_edges
-                        if g.roles.is_subrole(ax.role, role) and filler in witnessed[i]}
-        if parent is not None:
-            parent_labels, role_in = parent
-            new |= {sup for sup, role, filler in g.role_edges
-                    if g.roles.is_subrole(role_in.inverse(), role)
-                    and filler in parent_labels}
-        return new - labels
-
     changed = True
     while changed:
         changed = False
         for name in g.nodes:
-            new = derive(subsumers[name], None)
-            if new:
-                subsumers[name] |= new
-                changed = True
+            closed = _rescanned_closure(g, subsumers[name], None, witnessed.__getitem__)
+            changed |= closed != subsumers[name]
+            subsumers[name] = closed
         for i, ax in g.ex_right:
-            new = derive(witnessed[i], (subsumers[ax.lhs], ax.role))
-            if new:
-                witnessed[i] |= new
-                changed = True
+            closed = _rescanned_closure(g, witnessed[i], (subsumers[ax.lhs], ax.role),
+                                        witnessed.__getitem__)
+            changed |= closed != witnessed[i]
+            witnessed[i] = closed
     return subsumers, witnessed
 
 
@@ -479,7 +466,7 @@ def test_regex_sizes_are_the_text_lengths_of_their_expressions():
 
     def regex():
         expr = rng.choice(exprs)
-        return depgraph._r(rng.random() < 0.3, expr, len(path_to_str(expr)))
+        return depgraph._r(rng.random() < 0.3, expr)
 
     for _ in range(2000):
         a, b = regex(), regex()
@@ -487,14 +474,20 @@ def test_regex_sizes_are_the_text_lengths_of_their_expressions():
             assert r[2] == len(path_to_str(r[1])), r
 
 
-def test_path_size_cap_raises_naming_the_concept():
-    t = parse_tbox("exists partOf . Region <= Region")
-    assert path_to_str(rewr_concept("Region", build_dependency_graph(t, 16))) == (
-        "partOf*.<Region>")
-    g = build_dependency_graph(t, 15)
+@pytest.mark.parametrize("text, name, path", [
+    ("exists partOf . Region <= Region", "Region", "partOf*.<Region>"),  # one state
+    ("exists r . B <= A\nexists s . A <= B", "A", "(r.s)*.(<A>|r.<B>)"),
+])
+def test_path_size_cap_raises_naming_the_concept(monkeypatch, text, name, path):
+    t = parse_tbox(text)
+    monkeypatch.setattr(depgraph, "MAX_PATH_SIZE", len(path))
+    assert path_to_str(rewr_concept(name, build_dependency_graph(t))) == path
+    monkeypatch.setattr(depgraph, "MAX_PATH_SIZE", len(path) - 1)
+    g = build_dependency_graph(t)
     for _ in range(2):  # nothing over the cap is kept on the graph
-        with pytest.raises(BudgetExceededError, match="'Region' exceeds 15 characters"):
-            rewr_concept("Region", g)
+        with pytest.raises(BudgetExceededError,
+                           match=f"{name!r} exceeds {len(path) - 1} characters"):
+            rewr_concept(name, g)
 
 
 _ONTOLOGY_INSTANCE = """

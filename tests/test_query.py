@@ -30,6 +30,7 @@ from ontopath.query import (
     inverse_path,
     parse_query,
     parse_rewriting,
+    path_size,
     path_to_str,
     query_to_str,
     rewriting_to_str,
@@ -37,7 +38,7 @@ from ontopath.query import (
     substitute_role,
     union_path,
 )
-from ontopath.tbox import Role
+from ontopath.tbox import TOP, Role
 
 
 def edge(name, x, y, inverted=False):
@@ -335,6 +336,26 @@ def test_copies_carry_fields_but_no_stored_values():
         assert _stored(other) == set()
         assert hash(other) == hash(path)
         assert path_to_str(other) == path_to_str(path)
+
+
+_LEAVES = st.one_of(
+    st.builds(lambda name, inverted: EdgeStep(Role(name, inverted)),
+              st.sampled_from(["r", "part"]), st.booleans()),
+    st.sets(st.sampled_from(["A", "Bc", TOP]), min_size=1).map(NodeTest),
+)
+_PATHS = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, min_size=1, max_size=3).map(concat_path),
+    st.lists(kids, min_size=1, max_size=3).map(union_path),
+    kids.map(star_path)), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PATHS)
+def test_path_size_is_the_printed_length_without_rendering(path):
+    for prec in range(4):
+        fresh = copy.deepcopy(path)  # a copy keeps no text or size
+        assert path_size(fresh, prec) == len(path_to_str(path, prec))
+        assert getattr(fresh, "_text", None) is None
 
 
 _PICKLE_UNION = f"""
