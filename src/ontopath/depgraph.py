@@ -281,8 +281,13 @@ class DependencyGraph:
 
         The parent and the witness are closed in turn until neither grows:
         a label the witness gains can give the parent one through the edge
-        between them, and that label can give the witness another.
+        between them, and that label can give the witness another.  When no
+        role edge leads from the witness back to its parent, the witness
+        never reads the parent's labels, and the loop would return its
+        plain `witness_labels`.
         """
+        if not self._edges_to_parent[axiom_index]:
+            return self._witness_labels[axiom_index]
         key = (axiom_index, extra_parent_label)
         hit = self._hypothesis_cache.get(key)
         if hit is None:

@@ -408,6 +408,11 @@ def path_size(p: PathExpr, prec: int = 0) -> int:
     raise TypeError(f"not a path expression: {p!r}")
 
 
+def role_atom_to_str(path: PathExpr, src: str, dst: str) -> str:
+    """`atom_to_str(RoleAtom(path, src, dst))`, without building the atom."""
+    return f"{path_to_str(path, _PREC_STAR)}({src},{dst})"
+
+
 def atom_to_str(atom) -> str:
     s = getattr(atom, "_text", None)
     if s is not None:
@@ -417,8 +422,7 @@ def atom_to_str(atom) -> str:
         head = labels[0] if len(labels) == 1 else "(" + "|".join(labels) + ")"
         s = f"{head}({atom.var})"
     elif isinstance(atom, RoleAtom):
-        path = path_to_str(atom.path, _PREC_STAR)
-        s = f"{path}({atom.src},{atom.dst})"
+        s = role_atom_to_str(atom.path, atom.src, atom.dst)
     elif isinstance(atom, TestAtom):
         s = f"{test_to_str(atom.test)}({','.join(atom.vars)})"
     else:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -7,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import random_instance
 
@@ -14,9 +17,7 @@ from ontopath import cypher
 from ontopath.cypher import (
     MAX_CYPHER_ARMS,
     _arm_count,
-    _branch_arm_count,
     _distribute,
-    _distribute_query,
     emit_cypher,
 )
 from ontopath.errors import BudgetExceededError, UnsupportedPathError
@@ -25,10 +26,12 @@ from ontopath.query import (
     ConceptAtom,
     DataTest,
     EdgeStep,
+    NodeTest,
     RoleAtom,
     TestAtom,
     TestNot,
     UC2RPQ,
+    atom_to_str,
     concat_path,
     parse_query,
     star_path,
@@ -106,14 +109,17 @@ def test_arm_count_equals_distributed_arms_on_corpus():
     for _ in range(200):
         t, _g, q = random_instance(rng)
         for branch in rewrite_ncq(q, t).to_uc2rpq().branches:
-            assert _branch_arm_count(branch) == len(_distribute_query(branch))
+            # A branch's arms are the product of its role atoms' alternatives.
+            for atom in branch.atoms:
+                if isinstance(atom, RoleAtom):
+                    assert _arm_count(atom.path) == len(_distribute(atom.path))
 
 
 def test_emission_past_the_arm_cap_raises_before_distributing(monkeypatch):
-    def refuse(q):
+    def refuse(path):
         raise AssertionError("distributed past the cap")
 
-    monkeypatch.setattr(cypher, "_distribute_query", refuse)
+    monkeypatch.setattr(cypher, "_distribute", refuse)
     q = C2RPQ(("x",), frozenset({RoleAtom(concat_path([_mixed()] * 20), "x", "y")}))
     assert 2 ** 20 > MAX_CYPHER_ARMS
     with pytest.raises(BudgetExceededError, match=str(2 ** 20)):
@@ -229,6 +235,9 @@ def test_self_loop_role_atom():
     # Generated mids skip the names of query variables.
     ("q(x) :- (r.s.t)(x,m0)",
      "MATCH (x)-[:r]->(m1), (m1)-[:s]->(m2), (m2)-[:t]->(m0) RETURN DISTINCT x AS c0"),
+    # Relationship variables skip the names of query variables.
+    ("q(x) :- w(x,e0), k=1(x,e0)",
+     "MATCH (x)-[e1:w]->(e0) WHERE coalesce(e1.k = 1, false) RETURN DISTINCT x AS c0"),
     # Edge tests on one stored pair share the relationship variable.
     ("q(x,y) :- inv(r)(y,x), since<=2000(x,y), w=1(x,y)",
      "MATCH (y)<-[e0:r]-(x) WHERE coalesce(e0.since <= 2000, false) "
@@ -290,3 +299,103 @@ def test_unemittable_arm_reported_is_independent_of_hash_seed():
         "cannot emit a star over t.u\n"
         "an edge data test needs a plain same-direction edge atom between its "
         "variables: ('x', 'y')\n")
+
+
+@pytest.mark.parametrize("value", [2 ** 63 - 1, -2 ** 63])
+def test_integer_literals_at_the_64_bit_bounds_are_emitted_exactly(value):
+    q = C2RPQ(("x",), frozenset({ConceptAtom(frozenset({"A"}), "x"),
+                                 TestAtom(DataTest("k", "=", value), ("x",))}))
+    assert f"coalesce(x.k = {value}, false)" in emit_cypher(single(q)).text
+
+
+@pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 99999999999999999999])
+def test_integer_literals_past_64_bits_are_refused(value):
+    q = C2RPQ(("x",), frozenset({ConceptAtom(frozenset({"A"}), "x"),
+                                 TestAtom(DataTest("k", "=", value), ("x",))}))
+    with pytest.raises(UnsupportedPathError, match=str(value)):
+        emit_cypher(single(q))
+
+
+def test_parsed_literal_past_64_bits_is_refused():
+    q = parse_query("q(x) :- A(x), k=99999999999999999999(x)")
+    with pytest.raises(UnsupportedPathError, match="99999999999999999999"):
+        emit_cypher(single(q))
+
+
+# -- assembled arms --------------------------------------------------------------
+
+
+def _emitted(q: C2RPQ):
+    """The set of arms emitted for q, or the message of the error raised."""
+    try:
+        return set(emit_cypher(single(q)).text[:-1].split("\nUNION\n"))
+    except UnsupportedPathError as exc:
+        return str(exc)
+
+
+def _emitted_arm_by_arm(q: C2RPQ):
+    """q's distributed arms, each emitted alone in product order: the set of
+    their texts, or the message of the first error."""
+    roles = sorted((a for a in q.atoms if isinstance(a, RoleAtom)), key=atom_to_str)
+    fixed = frozenset(a for a in q.atoms if not isinstance(a, RoleAtom))
+    choices = [[RoleAtom(p, a.src, a.dst) for p in _distribute(a.path)] for a in roles]
+    arms = set()
+    for combo in itertools.product(*choices):
+        arm = _emitted(C2RPQ(q.answer_vars, fixed | frozenset(combo)))
+        if isinstance(arm, str):
+            return arm
+        arms |= arm
+    return arms
+
+
+_steps = st.sampled_from([
+    EdgeStep(Role("r")),
+    EdgeStep(Role("s")),
+    EdgeStep(Role("r", inverted=True)),
+    NodeTest(frozenset({"A"})),
+    NodeTest(frozenset({"A", "B"})),
+])
+
+_emission_paths = st.recursive(
+    _steps,
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: concat_path([a, b]), inner, inner),
+        st.builds(lambda a, b: union_path([a, b]), inner, inner),
+        st.builds(star_path, _steps),
+    ),
+    max_leaves=5,
+)
+_names = st.sampled_from(["x", "y", "m0", "e0"])
+
+
+@st.composite
+def _branches(draw):
+    atoms = {RoleAtom(draw(_emission_paths), "x", draw(_names))}
+    for _ in range(draw(st.integers(0, 2))):
+        atoms.add(RoleAtom(draw(_emission_paths), draw(_names), draw(_names)))
+    if draw(st.booleans()):
+        atoms.add(ConceptAtom(frozenset({"C"}), draw(_names)))
+    if draw(st.booleans()):
+        ends = draw(st.lists(_names, min_size=1, max_size=2, unique=True))
+        atoms.add(TestAtom(DataTest("k", "=", 1), tuple(ends)))
+    return C2RPQ(("x",), frozenset(atoms))
+
+
+def _q(text):
+    return parse_query(text, extended=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_branches())
+# A node-test-only alternative aliases y to x in one arm only.
+@example(_q("q(x) :- (<A>|r)(x,y), s(y,z)"))
+# The edge test's host exists in the arm r(x,y) but not in (s.t)(x,y).
+@example(_q("q(x,y) :- (r|s.t)(x,y), k=1(x,y)"))
+# Aliasing z to y gives the test a host in one arm; t(y,z) hosts it directly.
+@example(_q("q(x) :- (<A>|t)(y,z), r(x,y), r(x,z), k=1(x,z)"))
+# Mids and relationship variables skip the query variables m0 and e0.
+@example(_q("q(x) :- (r.s|t.u.v)(x,m0), w(x,e0), k=1(x,e0)"))
+# Both role atoms on (x,y) can choose r: those arms hold it once.
+@example(_q("q(x) :- (r|s.t)(x,y), (r|inv(u))(x,y)"))
+def test_assembled_arms_equal_the_arms_emitted_one_by_one(q):
+    assert _emitted(q) == _emitted_arm_by_arm(q)

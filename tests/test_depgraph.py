@@ -352,6 +352,46 @@ def test_witness_labels_with_hypothesis():
     assert "D" in g.witness_labels_with(idx, "E")
 
 
+def _hypothesis_fixpoint(g, i, extra):
+    """The witness labels of ExistsRight axiom i when its parent also
+    carries `extra`: parent and witness closed by the rescanning fixpoint,
+    in turn, until neither grows."""
+    ax = g.tbox.normalized[i]
+    parent, child = {ax.lhs, extra}, {ax.filler}
+    while True:
+        parent = _rescanned_closure(g, parent, None)
+        closed = _rescanned_closure(g, child, (parent, ax.role))
+        back = {sup for sup, role, filler in g.role_edges
+                if g.roles.is_subrole(ax.role, role) and filler in closed}
+        if closed == child and back <= parent:
+            return child
+        child, parent = closed, parent | back
+
+
+def test_witness_labels_with_matches_the_fixpoint_and_skips_unread_parents():
+    rng = random.Random(3141)
+    tboxes = [random_tbox(rng) for _ in range(150)]
+    tboxes += [parse_tbox(ontology_tbox(n, seed)) for n in (16, 24) for seed in range(3)]
+    skipped = looped = 0
+    for t in tboxes:
+        g = build_dependency_graph(t)
+        for i, _ax in g.ex_right:
+            unread = not g._edges_to_parent[i]
+            for extra in sorted(set(g.nodes) - {TOP}):
+                expected = _hypothesis_fixpoint(g, i, extra)
+                if unread:
+                    # No role edge leads back to the parent: the witness
+                    # labels are the plain ones, and nothing is closed.
+                    g._close_labels = None
+                    assert g.witness_labels_with(i, extra) == expected == g.witness_labels(i)
+                    del g._close_labels
+                    skipped += 1
+                else:
+                    assert g.witness_labels_with(i, extra) == expected
+                    looped += 1
+    assert skipped > 500 and looped > 100
+
+
 def _rescanned_closure(g, labels, parent, witness_labels=None):
     """The label closure as a fixpoint that rescans every rule until none
     fires, reading witness sets from `witness_labels` (default the graph's)."""
