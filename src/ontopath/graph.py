@@ -677,6 +677,8 @@ def eval_query(q, g: PropertyGraph) -> set:
     # test -> predicate, and (path, forward) -> a dangling atom's node set.
     cache = {}
     if isinstance(q, UC2RPQ):
+        if len(q.branches) == 1:
+            return _eval_branch(q.branches[0], g, cache)
         out = set()
         for branch in q.branches:
             out.update(_eval_branch(branch, g, cache))

@@ -1,19 +1,27 @@
 """Top-level query rewriting into an ontology-free union of path queries.
 
-The pipeline has three phases:
+The pipeline has four phases:
 
-1. Clipping saturation: a non-answer variable whose atoms are certainly
+1. Reduction: an atom that another atom of the query entails under the
+   TBox is dropped, to fixpoint.  A concept atom goes when another concept
+   atom on its variable entails it label by label; a role atom goes when
+   its other end is a leaf (no answer variable, in no other atom) and
+   another role atom leaves its variable by a subrole, onto whose other end
+   the leaf folds.  Of two atoms that entail each other, the first by
+   `atom_sort_key` stays.  The reduced query is equivalent to its input on
+   every model of the TBox.  It runs on the input and on each clipped
+   query, never after concept rewriting, whose atoms range over raw data.
+2. Clipping saturation: a non-answer variable whose atoms are certainly
    satisfied by the anonymous witness of an existential axiom is folded
    into a concept atom on its attachment variable, one variable at a
    time, to fixpoint.
-2. Concept rewriting: a query's rewritings are the product, over its
+3. Concept rewriting: a query's rewritings are the product, over its
    concept atoms, of each atom's alternatives: the union of its labels'
    concept-derivation paths (which contains the atom itself and covers
    every singleton witness set), then the conjunction of paths of each
    other witness set of a label.  A plain node-test path stays a concept
-   atom, any other gets a fresh existential endpoint; a concept atom
-   implied by another on its variable is dropped first.
-3. Role rewriting: every role occurrence is widened to the union of its
+   atom, any other gets a fresh existential endpoint.
+4. Role rewriting: every role occurrence is widened to the union of its
    entailed subroles, giving one query per concept rewriting.  Widening
    only enlarges each relation, so the widened query contains the query it
    came from and every partially widened variant.  All roles are
@@ -199,6 +207,74 @@ def _check_ncq(q: C2RPQ):
                 f"single edges, got {query_to_str(q)}")
 
 
+def _entailed_atom(answer_vars, atoms, g: DependencyGraph):
+    """The greatest atom by `atom_sort_key` that another of `atoms` entails
+    under the TBox, or None when none is.
+
+    Only a concept atom on a variable with two of them, or a role atom with
+    a leaf end, can be entailed, so a query with neither costs one scan.
+    """
+    uses = {}
+    concepts = {}
+    roles = []
+    for atom in atoms:
+        if isinstance(atom, RoleAtom):
+            roles.append(atom)
+            uses[atom.src] = uses.get(atom.src, 0) + 1
+            if atom.dst != atom.src:
+                uses[atom.dst] = uses.get(atom.dst, 0) + 1
+        elif isinstance(atom, ConceptAtom):
+            concepts.setdefault(atom.var, []).append(atom)
+            uses[atom.var] = uses.get(atom.var, 0) + 1
+        else:
+            for v in set(atom.vars):
+                uses[v] = uses.get(v, 0) + 1
+    candidates = [(a, None) for group in concepts.values() if len(group) > 1
+                  for a in group]
+    for atom in roles:
+        if isinstance(atom.path, EdgeStep) and atom.src != atom.dst:
+            if uses[atom.dst] == 1 and atom.dst not in answer_vars:
+                candidates.append((atom, atom.src))
+            elif uses[atom.src] == 1 and atom.src not in answer_vars:
+                candidates.append((atom, atom.dst))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda c: atom_sort_key(c[0]), reverse=True)
+    for atom, end in candidates:
+        if end is None:
+            if any(other is not atom
+                   and all(any(g.entails_subsumption(sub, sup) for sup in atom.labels)
+                           for sub in other.labels)
+                   for other in concepts[atom.var]):
+                return atom
+            continue
+        # The leaf folds onto the far end of another atom that leaves `end`
+        # by a subrole of the role this atom leaves it by.
+        role = atom.path.role if atom.src == end else atom.path.role.inverse()
+        for other in roles:
+            if other is atom or not isinstance(other.path, EdgeStep):
+                continue
+            if other.src == end and g.roles.is_subrole(other.path.role, role):
+                return atom
+            if other.dst == end and g.roles.is_subrole(other.path.role.inverse(), role):
+                return atom
+    return None
+
+
+def _reduce(q: C2RPQ, g: DependencyGraph) -> C2RPQ:
+    """Drop, one at a time to fixpoint, every atom that another atom of q
+    entails under the TBox; q itself when none is (see the module
+    docstring)."""
+    atom = _entailed_atom(q.answer_vars, q.atoms, g)
+    if atom is None:
+        return q
+    atoms = set(q.atoms)
+    while atom is not None:
+        atoms.remove(atom)
+        atom = _entailed_atom(q.answer_vars, atoms, g)
+    return C2RPQ(q.answer_vars, frozenset(atoms))
+
+
 def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> list:
     seen = {q0}
     frontier = [q0]
@@ -210,6 +286,7 @@ def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> 
                 for y in existential:
                     for clipped in clipping(q1, axiom_index, y, g,
                                             budget.max_hypotheses_per_clip):
+                        clipped = _reduce(clipped, g)
                         if clipped not in seen:
                             if len(seen) >= budget.max_queries:
                                 raise BudgetExceededError(
@@ -237,13 +314,9 @@ def _atom_alternatives(atom: ConceptAtom, g: DependencyGraph,
 def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> list:
     staged = []
     for q1 in queries:
-        concepts = [a for a in q1.atoms if isinstance(a, ConceptAtom)]
-        fixed = q1.atoms - set(concepts)
-        # Drop an atom implied by another on its variable with fewer labels.
-        concept_atoms = sorted(
-            (a for a in concepts
-             if not any(b.var == a.var and b.labels < a.labels for b in concepts)),
-            key=atom_sort_key)
+        concept_atoms = sorted((a for a in q1.atoms if isinstance(a, ConceptAtom)),
+                               key=atom_sort_key)
+        fixed = q1.atoms - set(concept_atoms)
         per_atom = [_atom_alternatives(atom, g, budget) for atom in concept_atoms]
         if len(staged) + math.prod(map(len, per_atom)) > budget.max_queries:
             raise BudgetExceededError(
@@ -290,7 +363,7 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     _check_ncq(q)
     t = normalize(t)
     g = build_dependency_graph(t)
-    q0 = canon_query(q)
+    q0 = _reduce(canon_query(q), g)
 
     saturated = _saturate_clipping(q0, g, budget)
     staged = _concept_rewritings(saturated, g, budget)

@@ -474,6 +474,24 @@ def test_union_branches_share_one_path_cache(monkeypatch):
     assert calls.count(shared) == 1
 
 
+def test_one_branch_union_returns_its_branch_answers_uncopied(monkeypatch):
+    # A branch's answer set is built fresh on each evaluation (see the test
+    # below), so a one-branch union hands it on as it is.
+    built = []
+
+    def recording(q, g, cache):
+        built.append(evaluate(q, g, cache))
+        return built[-1]
+
+    evaluate = graph_module._eval_branch
+    monkeypatch.setattr(graph_module, "_eval_branch", recording)
+    q = parse_query("q(x) :- r(x,y)")
+    g = make_graph({"a": [], "b": []}, [("a", "r", "b")])
+    answers = eval_query(UC2RPQ(q.answer_vars, (q,)), g)
+    assert answers == {("a",)}
+    assert answers is built[0]
+
+
 def _index_snapshot(g):
     return ({n: set(ls) for n, ls in g.labels.items()}, set(g.edges),
             {label: set(pairs) for label, pairs in g._pairs_by_label.items()},

@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import NAMES, random_instance
 from oracles import make_graph, random_graph
 
 from ontopath.chase import certain_answers
@@ -10,17 +17,22 @@ from ontopath.depgraph import build_dependency_graph
 from ontopath.errors import BudgetExceededError
 from ontopath.graph import eval_query
 from ontopath.query import (
+    C2RPQ,
+    ConceptAtom,
+    EdgeStep,
+    RoleAtom,
     parse_query,
     query_to_str,
     rewriting_to_str,
 )
 from ontopath.rewriter import (
     RewriteBudget,
+    _reduce,
     clipping,
     rewrite_atomic,
     rewrite_ncq,
 )
-from ontopath.tbox import normalize, parse_tbox
+from ontopath.tbox import TOP, Role, normalize, parse_tbox
 
 
 def branches(rewriting):
@@ -146,6 +158,105 @@ def test_query_budget_bounds_the_union(prune):
         rewrite_ncq(q, t, budget=RewriteBudget(max_queries=2), prune=prune)
 
 
+# -- reduction -------------------------------------------------------------------
+
+
+def reduced(query_text, tbox_text):
+    g = build_dependency_graph(normalize(parse_tbox(tbox_text)))
+    return query_to_str(_reduce(parse_query(query_text), g))
+
+
+def test_reduction_drops_a_concept_atom_another_entails():
+    assert reduced("q(x) :- A(x), C(x)", "A <= B\nB <= C") == "q(x) :- A(x)"
+    # Every label of (A|B) has a subsumer among C's: B <= C, and A <= C.
+    assert reduced("q(x) :- (A|B)(x), C(x)", "A <= B\nB <= C") == "q(x) :- (A|B)(x)"
+    # Entailed through the witness of an existential axiom.
+    assert reduced("q(x) :- B(x), D(x)", "B <= exists r . C\nexists r . C <= D") == (
+        "q(x) :- B(x)")
+    # A entails (A|E), but D on another variable entails nothing about x.
+    assert reduced("q(x) :- (A|E)(x), A(x), r(x,y), D(y)", "") == (
+        "q(x) :- A(x), D(y), r(x,y)")
+    assert reduced("q(x) :- A(x), C(x)", "A <= exists r . C") == "q(x) :- A(x), C(x)"
+
+
+def test_reduction_keeps_the_first_of_equivalent_atoms():
+    assert reduced("q(x) :- B(x), A(x)", "A <= B\nB <= A") == "q(x) :- A(x)"
+    assert reduced("q(x) :- r(x,y1), r(x,y0)", "") == "q(x) :- r(x,y0)"
+
+
+def test_reduction_folds_a_leaf_onto_a_subrole_atom():
+    assert reduced("q(x) :- s(x,y), r(x,z), C(y)", "s <= r") == "q(x) :- C(y), s(x,y)"
+    # Both orientations: r(z,x) leaves x by inv(r), as inv(s)(x,y) does.
+    assert reduced("q(x) :- inv(s)(x,y), r(z,x), C(y)", "s <= r") == (
+        "q(x) :- C(y), inv(s)(x,y)")
+    assert reduced("q(x) :- s(y,x), r(x,z), C(y)", "s <= r") == (
+        "q(x) :- C(y), r(x,z), s(y,x)")
+    # A self-loop leaves its variable both ways.
+    assert reduced("q(x) :- r(x,x), r(z,x)", "") == "q(x) :- r(x,x)"
+    # Not a leaf: an answer variable, a variable with a data test, a
+    # superrole in place of a subrole.
+    assert reduced("q(x,z) :- s(x,y), r(x,z)", "s <= r") == "q(x,z) :- r(x,z), s(x,y)"
+    assert reduced("q(x) :- s(x,y), r(x,z), k>1(z)", "s <= r") == (
+        "q(x) :- r(x,z), s(x,y), k>1(z)")
+    assert reduced("q(x) :- s(x,y), r(x,z), C(z)", "s <= r") == (
+        "q(x) :- C(z), r(x,z), s(x,y)")
+
+
+def test_reduction_runs_to_fixpoint():
+    # inv(r)(v,u) folds onto r(x,v), which leaves v a leaf that folds onto
+    # r(x,y1) in turn.
+    assert reduced("q(x) :- r(x,y1), r(x,v), inv(r)(v,u)", "") == "q(x) :- r(x,v)"
+
+
+_KEPT_LEAF = """
+from ontopath.depgraph import build_dependency_graph
+from ontopath.query import parse_query, query_to_str
+from ontopath.rewriter import _reduce
+from ontopath.tbox import normalize, parse_tbox
+t = parse_tbox("A <= B\\nB <= A\\ns <= r\\nr <= s")
+q = parse_query("q(x) :- r(x,y2), s(x,y1), inv(s)(x,y3), r(y0,x), "
+                "B(x), A(x), (A|C)(x)")
+print(query_to_str(_reduce(q, build_dependency_graph(normalize(t)))))
+"""
+
+
+def test_kept_atoms_are_independent_of_hash_seed():
+    # Atoms that entail each other are kept by atom_sort_key, never by
+    # frozenset order (which follows string hashes).
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _KEPT_LEAF],
+                              capture_output=True, text=True, check=True, env=env)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == "q(x) :- A(x), inv(s)(x,y3), r(x,y2)\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1))
+def test_reduction_keeps_certain_answers(seed):
+    # A sweep-style draw, widened by a leaf along a role and one along one
+    # of its superroles, and by a concept atom and one naming a subsumer,
+    # so that every draw has atoms to drop.
+    rng = random.Random(seed)
+    t, graph, q = random_instance(rng)
+    g = build_dependency_graph(normalize(t))
+    v = rng.choice(sorted(q.variables()))
+    role = Role(rng.choice(("r0", "r1", "r2", "r3")), inverted=rng.random() < 0.5)
+    sup = rng.choice(sorted(g.roles.superroles(role), key=str))
+    name = rng.choice(NAMES)
+    sub_name = rng.choice(sorted(g.subsumers(name) - {TOP}))
+    wide = C2RPQ(q.answer_vars, q.atoms | {
+        RoleAtom(EdgeStep(role), v, "u0"), RoleAtom(EdgeStep(sup), v, "u1"),
+        ConceptAtom(frozenset({name}), v), ConceptAtom(frozenset({sub_name}), v)})
+    out = _reduce(wide, g)
+    assert len(out.atoms) < len(wide.atoms)
+    assert _reduce(out, g) == out
+    assert certain_answers(out, graph, t, depth=3) == certain_answers(
+        wide, graph, t, depth=3)
+
+
 # -- rewrite_ncq -----------------------------------------------------------------
 
 
@@ -206,7 +317,9 @@ def test_node_test_concept_path_stays_a_concept_atom():
 
 
 def test_implied_concept_atom_is_dropped_before_rewriting():
-    # Benchmark instance sweep-245: (A6|A7)(x) is implied by A7(x).
+    # Benchmark instance sweep-245: (A6|A7)(x) is implied by A7(x), and the
+    # leaf v1 of inv(r0)(x,v1) folds onto the other end of r0(x,x), which
+    # also leaves x by inv(r0).
     t = parse_tbox(
         "A3 <= A1\nexists inv(r0) . A2 <= A3\nA6 & A2 <= A6\nA4 & A3 <= A1\n"
         "A7 <= A2\nexists inv(r3) . A3 <= A0\nA4 <= A2\n"
@@ -214,9 +327,14 @@ def test_implied_concept_atom_is_dropped_before_rewriting():
         "A4 <= exists inv(r3) . A2\nA4 <= A0\nA6 <= A1")
     q = parse_query("q(x) :- r0(x,x), (A6|A7)(x), A7(x), inv(r0)(x,v1)")
     out = rewrite_ncq(q, t)
-    assert branches(out) == {"q(x) :- A7(x), inv(r0)(x,v1), r0(x,x)"}
+    assert branches(out) == {"q(x) :- A7(x), r0(x,x)"}
     assert emit_cypher(out.to_uc2rpq()).text == (
-        "MATCH (x)<-[:r0]-(v1), (x)-[:r0]->(x) WHERE x:A7 RETURN DISTINCT x AS c0\n")
+        "MATCH (x)-[:r0]->(x) WHERE x:A7 RETURN DISTINCT x AS c0\n")
+    graph = make_graph({"a": ["A7"], "b": ["A7"], "c": ["A6"]},
+                       [("a", "r0", "a"), ("b", "r0", "c"), ("c", "r0", "c")])
+    expected = certain_answers(q, graph, t, depth=3)
+    assert expected == {("a",)}
+    assert eval_query(out.to_uc2rpq(), graph) == expected
 
 
 def test_parent_and_witness_labels_close_to_a_fixpoint():
@@ -298,16 +416,32 @@ def test_budget_exceeded_raises():
 
 
 def test_many_leaves_clip_one_at_a_time():
-    # Eleven existential leaves on one attachment: clipping them one by one
-    # reaches A(x) without trying every subset of them.
+    # Eleven interchangeable existential leaves on one attachment fold onto
+    # the least of them before clipping, so the union holds the input's core
+    # and its clip.
     body = ", ".join(f"r(x,y{i})" for i in range(11))
     q = parse_query(f"q(x) :- {body}")
     t = parse_tbox("A <= exists r . B")
     out = rewrite_ncq(q, t)
-    assert branches(out) == {"q(x) :- A(x)", query_to_str(q)}
+    assert branches(out) == {"q(x) :- A(x)", "q(x) :- r(x,y0)"}
     graph = make_graph({"a": ["A"], "b": [], "c": []}, [("b", "r", "c")])
     expected = certain_answers(q, graph, t, depth=1)
     assert expected == {("a",), ("b",)}
+    assert eval_query(out.to_uc2rpq(), graph) == expected
+
+
+def test_fourteen_leaves_rewrite_within_the_default_budget():
+    # Unreduced, clipping the leaves one at a time keeps 2**14 intermediate
+    # queries, past the default budget of 10 000.
+    body = ", ".join(f"r(x,y{i})" for i in range(14))
+    q = parse_query(f"q(x) :- {body}")
+    t = parse_tbox("A <= exists r . B")
+    out = rewrite_ncq(q, t)
+    assert branches(out) == {"q(x) :- A(x)", "q(x) :- r(x,y0)"}
+    graph = make_graph({"a": ["A"], "b": [], "c": [], "d": ["B"]},
+                       [("b", "r", "c"), ("d", "r", "d")])
+    expected = certain_answers(q, graph, t, depth=1)
+    assert expected == {("a",), ("b",), ("d",)}
     assert eval_query(out.to_uc2rpq(), graph) == expected
 
 

@@ -79,29 +79,19 @@ EXPECTED = """\
 q(x) :- (A00|A01|A02|A04|A08|A09|A11|A13|A14|A16|A18|A26|A27|A32|A34|A38|A39|A41|A42|A43|A45|A46|A47|A49|A50)(x)
 MATCH (x) WHERE (x:A00 OR x:A01 OR x:A02 OR x:A04 OR x:A08 OR x:A09 OR x:A11 OR x:A13 OR x:A14 OR x:A16 OR x:A18 OR x:A26 OR x:A27 OR x:A32 OR x:A34 OR x:A38 OR x:A39 OR x:A41 OR x:A42 OR x:A43 OR x:A45 OR x:A46 OR x:A47 OR x:A49 OR x:A50) RETURN DISTINCT x AS c0
 
-q(x) :- B10(x), ((r01|r02|r03|r05|r11).<C00>|(r02|r03|r05|r11).<C06>|(r03|r05|r11).<C07>|(r03|r11).<C11>|<B00|B06|B07|B10|B11|D>|r03.<C10>)(x,__w0)
+q(x) :- B10(x)
 q(x) :- C10(y), ((r01|r02|r03|r05|r11).<C00>|(r02|r03|r05|r11).<C06>|(r03|r05|r11).<C07>|(r03|r11).<C11>|<B00|B06|B07|B10|B11|D>|r03.<C10>)(x,__w0), (r01|r02|r03|r05|r06|r11)(x,y)
-MATCH (x) WHERE (x:B00 OR x:B06 OR x:B07 OR x:B10 OR x:B11 OR x:D) AND x:B10 RETURN DISTINCT x AS c0
+MATCH (x) WHERE x:B10 RETURN DISTINCT x AS c0
 UNION
 MATCH (x)-[:r01|r02|r03|r05|r06|r11]->(y) WHERE (x:B00 OR x:B06 OR x:B07 OR x:B10 OR x:B11 OR x:D) AND y:C10 RETURN DISTINCT x AS c0
 UNION
 MATCH (x)-[:r01|r02|r03|r05|r06|r11]->(y), (x)-[:r03]->(`__w0`) WHERE `__w0`:C10 AND y:C10 RETURN DISTINCT x AS c0
 UNION
-MATCH (x)-[:r01|r02|r03|r05|r11]->(`__w0`) WHERE `__w0`:C00 AND x:B10 RETURN DISTINCT x AS c0
-UNION
 MATCH (x)-[:r01|r02|r03|r05|r11]->(`__w0`), (x)-[:r01|r02|r03|r05|r06|r11]->(y) WHERE `__w0`:C00 AND y:C10 RETURN DISTINCT x AS c0
-UNION
-MATCH (x)-[:r02|r03|r05|r11]->(`__w0`) WHERE `__w0`:C06 AND x:B10 RETURN DISTINCT x AS c0
 UNION
 MATCH (x)-[:r02|r03|r05|r11]->(`__w0`), (x)-[:r01|r02|r03|r05|r06|r11]->(y) WHERE `__w0`:C06 AND y:C10 RETURN DISTINCT x AS c0
 UNION
-MATCH (x)-[:r03]->(`__w0`) WHERE `__w0`:C10 AND x:B10 RETURN DISTINCT x AS c0
-UNION
-MATCH (x)-[:r03|r05|r11]->(`__w0`) WHERE `__w0`:C07 AND x:B10 RETURN DISTINCT x AS c0
-UNION
 MATCH (x)-[:r03|r05|r11]->(`__w0`), (x)-[:r01|r02|r03|r05|r06|r11]->(y) WHERE `__w0`:C07 AND y:C10 RETURN DISTINCT x AS c0
-UNION
-MATCH (x)-[:r03|r11]->(`__w0`) WHERE `__w0`:C11 AND x:B10 RETURN DISTINCT x AS c0
 UNION
 MATCH (x)-[:r03|r11]->(`__w0`), (x)-[:r01|r02|r03|r05|r06|r11]->(y) WHERE `__w0`:C11 AND y:C10 RETURN DISTINCT x AS c0
 
