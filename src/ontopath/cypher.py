@@ -27,12 +27,10 @@ merges one alternative per role atom in key order and resolves aliases only
 when an alternative is node tests only. What its aliases decide (the
 representatives, the concept conditions, the return list) is kept per set
 of joined pairs. Mids and relationship variables are numbered from lists
-that skip the branch's query variables. Where no edge test can take a
-relationship variable, an alternative's patterns are also kept per pair of
-ends and first mid. Errors come from the first failing arm in product order.
-Within it, the first failing role atom in sort order comes first, and only
-then an edge test without a host, so the first error is the same whatever
-the string hash seed.
+that skip the branch's query variables. Errors come from the first failing
+arm in product order. Within it, the first failing role atom in sort order
+comes first, and only then an edge test without a host, so the first error
+is the same whatever the string hash seed.
 """
 from __future__ import annotations
 
@@ -277,7 +275,7 @@ class _View(NamedTuple):
     edge_pairs: set     # the stored pairs that edge tests read
     names: list         # the representatives, in name order
     conditions: list    # the concept atoms' conditions, in sort order
-    tests: list         # (position, test atom, subject or None, stored pair or None)
+    tests: list         # (test atom, subject or None, stored pair or None)
     returns: str        # the text from " RETURN" on
 
 
@@ -291,12 +289,10 @@ class _Branch:
     Its role atoms, in sort order, are counted at once and distributed by
     `distribute`, after emission has checked the total against the arm cap;
     an atom with one alternative keeps its path.  Views are kept per tuple
-    of joined pairs; where no edge test can take a relationship variable,
-    an alternative's rendering is kept per pair of ends and first mid."""
+    of joined pairs."""
 
     __slots__ = ("answer_vars", "shared", "idents", "labels", "concepts", "roles", "tests",
-                 "arm_count", "query_vars", "edge_vars", "views", "test_conditions",
-                 "fragments", "mids", "rel_vars")
+                 "arm_count", "query_vars", "edge_vars", "views", "mids", "rel_vars")
 
     def __init__(self, q: C2RPQ, shared: _Shared):
         self.answer_vars = q.answer_vars
@@ -327,11 +323,6 @@ class _Branch:
         self.query_vars = query_vars
         self.edge_vars = edge_vars
         self.views = {}
-        self.test_conditions = {}  # (position in tests, subject) -> text
-        # Alternatives' renderings, by (alternative, its ends, its first mid:
-        # 0 for node tests only), kept for more than one arm where no edge
-        # test can take a relationship variable.
-        self.fragments = {} if self.arm_count > 1 and not self.edge_vars else None
 
     def distribute(self):
         """The alternatives each arm chooses, distinct and in key order; the
@@ -375,13 +366,13 @@ class _Branch:
             if TOP not in atom.labels:
                 conditions.append(labels[idents[rep(atom.var, atom.var)], atom.labels])
         tests = []
-        for i, atom in enumerate(self.tests):
+        for atom in self.tests:
             if len(atom.vars) == 1:
                 (var,) = atom.vars
-                tests.append((i, atom, idents[rep(var, var)], None))
+                tests.append((atom, idents[rep(var, var)], None))
             else:
                 src, dst = atom.vars
-                tests.append((i, atom, None, (rep(src, src), rep(dst, dst))))
+                tests.append((atom, None, (rep(src, src), rep(dst, dst))))
         if self.answer_vars:
             returns = ", ".join([f"{idents[rep(v, v)]} AS c{i}"
                                  for i, v in enumerate(self.answer_vars)])
@@ -447,7 +438,6 @@ class _Branch:
         if view is None:
             view = self.views[joined] = self._view(joined)
         rep, edge_pairs, names, conditions, tests, returns = view
-        fragments = self.fragments
         patterns = []
         node_tests = []
         in_pattern = set()
@@ -455,13 +445,7 @@ class _Branch:
         mid = 0
         for alt in alts:
             here, end = rep(alt.src, alt.src), rep(alt.dst, alt.dst)
-            if fragments is None:
-                pieces = self._render(alt, here, end, mid, edge_pairs, hosts)
-            else:
-                key = (alt, here, end, mid if alt.rels else 0)
-                pieces = fragments.get(key)
-                if pieces is None:
-                    pieces = fragments[key] = self._render(alt, here, end, mid, edge_pairs, hosts)
+            pieces = self._render(alt, here, end, mid, edge_pairs, hosts)
             patterns += pieces[0]
             node_tests += pieces[1]
             if alt.rels:
@@ -470,17 +454,14 @@ class _Branch:
                 mid += alt.rels
         if tests:
             conditions = conditions.copy()
-            for i, atom, subject, stored in tests:
+            for atom, subject, stored in tests:
                 if stored is not None:
                     subject = hosts.get(stored)
                     if subject is None:
                         raise UnsupportedPathError(
                             "an edge data test needs a plain same-direction edge atom "
                             f"between its variables: {atom.vars}")
-                text = self.test_conditions.get((i, subject))
-                if text is None:
-                    text = self.test_conditions[i, subject] = _test_condition(atom.test, subject)
-                conditions.append(text)
+                conditions.append(_test_condition(atom.test, subject))
         for var in names:
             if var not in in_pattern:
                 patterns.append(f"({self.idents[var]})")

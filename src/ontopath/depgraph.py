@@ -20,16 +20,18 @@ Three queries are answered here:
 * ``rewrite_role``: the union of a role's entailed subroles.
 
 To keep rewritings complete on entailments that route through existential
-witnesses, the graph also runs a consequence-driven label completion: for
+witnesses, the graph also runs a consequence-based label completion: for
 every concept name a set of certain subsumers, and for every existential
 axiom the labels certainly carried by its witness (including effects of the
-edge back to the witness's parent).  Each label set is closed by a
-worklist over indexes built once per graph, and semi-naively: after one
-pass over every set, a set is closed again only when a set it reads has
-gained a label its closure looks at.  Derived subsumptions feed
-extra epsilon transitions into the automaton, so one concept path covers
-every entailed subsumee; everything remains sound because each completion
-rule is valid in every model.
+edge back to the witness's parent).  As in consequence-based reasoners
+(Kazakov, Krötzsch & Simančík, JAR 2014), the names and the witnesses are
+the contexts of one rule loop, `_saturate`: a semi-naive worklist that
+draws the consequences of each new (context, label) fact once, over
+indexes built once per graph.  Asking what a witness carries when its
+parent has one more label is the same loop over two temporary contexts.
+Derived subsumptions feed extra epsilon transitions into the automaton, so
+one concept path covers every entailed subsumee; everything remains sound
+because each completion rule is valid in every model.
 """
 from __future__ import annotations
 
@@ -65,6 +67,8 @@ from .tbox import (
 DEFAULT_WITNESS_CAP = 1024
 # Characters per expression built while a concept path is eliminated.
 MAX_PATH_SIZE = 1_000_000
+# The context of the witness that `witness_labels_with` saturates.
+_HYPOTHESIZED = "\x00witness"
 
 
 class RoleOrder:
@@ -114,9 +118,11 @@ class RoleOrder:
 class DependencyGraph:
     """Built once from a TBox; the three query operations are pure.
 
-    Internal memo tables (concept paths, hypothesis closures, witness sets) only ever
-    gain entries that are deterministic functions of the immutable inputs,
-    so sharing one graph across threads is safe.
+    Construction saturates the label sets of every concept name and every
+    existential witness in one `_saturate` call.  Internal memo tables
+    (concept paths, hypothesis closures, witness sets) only ever gain
+    entries that are deterministic functions of the immutable inputs, so
+    sharing one graph across threads is safe.
     """
 
     def __init__(self, t: TBox):
@@ -133,10 +139,12 @@ class DependencyGraph:
         self.roles = RoleOrder(nf)
         self.ex_right = tuple(
             (i, ax) for i, ax in enumerate(nf) if isinstance(ax, ExistsRight))
-        # Indexes for the label closure's worklist: ε-edges by subsumee,
-        # conjunctions by member, and for each existential axiom the role
-        # edges (rhs, filler) its witness's edge from the parent matches,
-        # read from the parent and, reversed, from the witness.
+        # Indexes for `_saturate`: ε-edges by subsumee, conjunctions by
+        # member, existential axioms by left-hand side, and for each
+        # existential axiom the role edges its edge to the witness matches,
+        # as filler -> right-hand sides: read from the witness by a holder of
+        # the left-hand side, and, through the edge back, from the parent by
+        # the witness.
         self._supers = {}
         for sup, sub in self.eps_edges:
             self._supers.setdefault(sub, []).append(sup)
@@ -145,20 +153,26 @@ class DependencyGraph:
             for part in parts:
                 self._conj_by_part.setdefault(part, []).append((sup, parts))
         self._ex_right_by_lhs = {}
-        self._edges_to_witness = {}
-        self._edges_to_parent = {}
+        self._reads_witness = {}
+        self._reads_parent = {}
         for i, ax in self.ex_right:
             self._ex_right_by_lhs.setdefault(ax.lhs, []).append(i)
-            self._edges_to_witness[i] = [
-                (sup, filler) for sup, role, filler in self.role_edges
-                if self.roles.is_subrole(ax.role, role)]
+            down = self._reads_witness[i] = {}
+            up = self._reads_parent[i] = {}
             back = ax.role.inverse()
-            self._edges_to_parent[i] = [
-                (sup, filler) for sup, role, filler in self.role_edges
-                if self.roles.is_subrole(back, role)]
-        self._subsumers = {}
-        self._witness_labels = {}
-        self._complete()
+            for sup, role, filler in self.role_edges:
+                if self.roles.is_subrole(ax.role, role):
+                    down.setdefault(filler, []).append(sup)
+                if self.roles.is_subrole(back, role):
+                    up.setdefault(filler, []).append(sup)
+        starts = {name: (name,) for name in self.nodes}
+        witnesses = {}
+        for i, ax in self.ex_right:
+            starts[i] = (ax.filler,)
+            witnesses[i] = i
+        labels = self._saturate(starts, witnesses, {})
+        self._subsumers = {name: frozenset(labels[name]) for name in self.nodes}
+        self._witness_labels = {i: frozenset(labels[i]) for i, _ in self.ex_right}
         # Transitions by source state, as (regex, dst) with the regex in
         # the form `_eliminate` works on.
         self._outgoing = {}
@@ -177,93 +191,74 @@ class DependencyGraph:
 
     # -- label completion ---------------------------------------------------
 
-    def _close_labels(self, labels, parent) -> set:
-        """Close a label set under all non-generating consequences.
+    def _saturate(self, starts, witnesses, closed) -> dict:
+        """Grow label sets to their least fixpoint under every
+        non-generating consequence, and return them by context.
 
-        `parent`, when given, is a pair (parent labels, index of an
-        ExistsRight axiom): the closed set then describes that axiom's
-        witness, which carries an inverse edge back to a parent with (at
-        least) those labels.
+        A context is a concept name or an existential axiom's witness;
+        `starts` gives each context its starting labels, and `witnesses`
+        maps each witness context among them to its axiom's index.  The
+        rules are the ε-edges, the conjunctions, the role edges a holder of
+        an axiom's left-hand side reads from the witness, and those the
+        witness reads back from its parent: the context named by that
+        left-hand side.  A parent reads its own witness; any other holder
+        of axiom j's left-hand side reads the witness context j, either
+        grown here or among the sets in `closed`.
 
-        Every rule is monotone, so a worklist of newly added labels reaches
-        the same least fixpoint as rescanning all rules until none fires.
+        Semi-naive: each context keeps a worklist of labels to add, and the
+        consequences of a (context, label) fact are drawn once, when it is
+        added.  A witness listens to its parent, and a holder of an axiom's
+        left-hand side to the witness it reads, so a new fact reaches
+        exactly the contexts whose rules look at it.
         """
-        out = set()
-        stack = list(labels)
-        stack.append(TOP)
-        if parent is not None:
-            parent_labels, i = parent
-            for sup, filler in self._edges_to_parent[i]:
-                if filler in parent_labels:
-                    stack.append(sup)
-        while stack:
-            name = stack.pop()
-            if name in out:
-                continue
-            out.add(name)
-            stack.extend(self._supers.get(name, ()))
-            for sup, parts in self._conj_by_part.get(name, ()):
-                if sup not in out and parts <= out:
-                    stack.append(sup)
-            for i in self._ex_right_by_lhs.get(name, ()):
-                ax = self.tbox.normalized[i]
-                child = self._witness_labels.get(i, {ax.filler, TOP})
-                for sup, filler in self._edges_to_witness[i]:
-                    if filler in child:
-                        stack.append(sup)
-        return out
-
-    def _complete(self):
-        """Close every name's subsumers and every witness's labels together.
-
-        Semi-naive: each set is closed once, and then again only when a set
-        its closure reads has gained a label that closure looks at.  A
-        name's closure reads, in the witness set of each existential axiom
-        whose left-hand side it holds, the fillers of the role edges that
-        the axiom's edge matches; a witness set reads those too, and, in
-        its axiom's `_subsumers[lhs]`, the fillers of the role edges that
-        the edge back to the parent matches.  Closing only grows a set, so
-        the least fixpoint is the one round-robin rounds would reach.
-        """
-        subsumers, witnessed = self._subsumers, self._witness_labels
-        for i, ax in self.ex_right:
-            witnessed[i] = {ax.filler, TOP}
-        for name in self.nodes:
-            subsumers[name] = self._close_labels({name}, None)
+        supers, conj_by_part = self._supers, self._conj_by_part
+        by_lhs, reads_witness = self._ex_right_by_lhs, self._reads_witness
         axioms = self.tbox.normalized
-        # Names are strings and witness sets axiom indexes.
-        queue = deque(i for i, _ in self.ex_right)
-        queued = set(queue)
-        while queue:
-            item = queue.popleft()
-            queued.discard(item)
-            if isinstance(item, str):
-                old = subsumers[item]
-                closed = self._close_labels(old, None)
-                if len(closed) == len(old):
+        children = {}
+        listeners = {}  # context -> [(listener, filler -> what the listener gains)]
+        for w, i in witnesses.items():
+            lhs = axioms[i].lhs
+            children[lhs, i] = w
+            if self._reads_parent[i]:
+                listeners.setdefault(lhs, []).append((w, self._reads_parent[i]))
+        labels = dict(closed)
+        pending = {}  # each context's labels still to add, with their consequences
+        for ctx, start in starts.items():
+            labels[ctx] = set()
+            pending[ctx] = [*start, TOP]
+        busy = list(starts)  # every context with a nonempty worklist is on it
+        while busy:
+            ctx = busy.pop()
+            got, todo = labels[ctx], pending[ctx]
+            hearers = listeners.get(ctx)
+            while todo:
+                name = todo.pop()
+                if name in got:
                     continue
-                subsumers[item] = closed
-                gained = closed - old
-                readers = [j for j in self._ex_right_by_lhs.get(item, ())
-                           if any(f in gained for _, f in self._edges_to_parent[j])]
-            else:
-                ax = axioms[item]
-                old = witnessed[item]
-                closed = self._close_labels(old, (subsumers[ax.lhs], item))
-                if len(closed) == len(old):
-                    continue
-                witnessed[item] = closed
-                gained = closed - old
-                if not any(f in gained for _, f in self._edges_to_witness[item]):
-                    continue
-                readers = [n for n in self.nodes if ax.lhs in subsumers[n]]
-                readers.extend(j for j, _ in self.ex_right if ax.lhs in witnessed[j])
-            for reader in readers:
-                if reader not in queued:
-                    queued.add(reader)
-                    queue.append(reader)
-        self._subsumers = {n: frozenset(s) for n, s in subsumers.items()}
-        self._witness_labels = {i: frozenset(s) for i, s in witnessed.items()}
+                got.add(name)
+                todo.extend(supers.get(name, ()))
+                for sup, parts in conj_by_part.get(name, ()):
+                    if parts <= got:
+                        todo.append(sup)
+                for j in by_lhs.get(name, ()):
+                    heard = reads_witness[j]
+                    if heard:
+                        w = children.get((ctx, j), j)
+                        listeners.setdefault(w, []).append((ctx, heard))
+                        hearers = listeners.get(ctx)  # a witness may read itself
+                        seen = labels[w]
+                        for filler, sups in heard.items():
+                            if filler in seen:
+                                todo.extend(sups)
+                if hearers:
+                    for other, heard in hearers:
+                        sups = heard.get(name)
+                        if sups:
+                            queue = pending[other]
+                            if not queue:
+                                busy.append(other)
+                            queue.extend(sups)
+        return labels
 
     def subsumers(self, name: str) -> frozenset:
         """Concept names certainly entailed for anything labeled `name`."""
@@ -279,29 +274,23 @@ class DependencyGraph:
     def witness_labels_with(self, axiom_index: int, extra_parent_label: str) -> frozenset:
         """Witness labels when the parent additionally carries one label.
 
-        The parent and the witness are closed in turn until neither grows:
-        a label the witness gains can give the parent one through the edge
-        between them, and that label can give the witness another.  When no
-        role edge leads from the witness back to its parent, the witness
-        never reads the parent's labels, and the loop would return its
-        plain `witness_labels`.
+        One saturation over two contexts: the parent, starting from the
+        axiom's left-hand side and the extra label, and its witness, which
+        reads the parent through the edge between them, while the parent
+        reads it back.  Every other witness is read closed.  When no role
+        edge leads from the witness back to its parent, the witness never
+        reads the parent's labels, and the result is its plain
+        `witness_labels`.
         """
-        if not self._edges_to_parent[axiom_index]:
+        if not self._reads_parent[axiom_index]:
             return self._witness_labels[axiom_index]
         key = (axiom_index, extra_parent_label)
         hit = self._hypothesis_cache.get(key)
         if hit is None:
             ax = self.tbox.normalized[axiom_index]
-            seed = {ax.lhs, extra_parent_label}
-            while True:
-                parent = self._close_labels(seed, None)
-                hit = frozenset(self._close_labels({ax.filler}, (parent, axiom_index)))
-                gained = {sup for sup, filler in self._edges_to_witness[axiom_index]
-                          if filler in hit} - parent
-                if not gained:
-                    break
-                seed = parent | gained
-            self._hypothesis_cache[key] = hit
+            starts = {ax.lhs: (ax.lhs, extra_parent_label), _HYPOTHESIZED: (ax.filler,)}
+            labels = self._saturate(starts, {_HYPOTHESIZED: axiom_index}, self._witness_labels)
+            hit = self._hypothesis_cache[key] = frozenset(labels[_HYPOTHESIZED])
         return hit
 
     # -- automaton ------------------------------------------------------------

@@ -489,7 +489,6 @@ def _tokenize_query(text: str):
             if kind not in ("WS", "COMMENT"):
                 tokens.append(_QTok(kind, m.group(0), lineno, pos + 1))
             pos = m.end()
-        tokens.append(_QTok("EOL", "", lineno, len(line) + 1))
     return tokens
 
 
@@ -497,13 +496,12 @@ class _QueryParser:
     """Recursive-descent parser with savepoints for atom disambiguation."""
 
     def __init__(self, tokens, extended=False):
-        self.tokens = [t for t in tokens if t.kind != "EOL"]
+        self.tokens = tokens
         self.extended = extended
         self.pos = 0
 
-    def peek(self, offset=0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self):
         tok = self.peek()

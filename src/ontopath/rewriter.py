@@ -64,6 +64,9 @@ from .query import (
 )
 from .tbox import TOP, Role, TBox, normalize
 
+# Label combinations one clipping may hypothesize on its attachment variable.
+MAX_HYPOTHESES_PER_CLIP = 64
+
 
 @dataclass(frozen=True)
 class RewriteBudget:
@@ -71,7 +74,6 @@ class RewriteBudget:
 
     max_queries: int = 10_000
     witness_cap: int = DEFAULT_WITNESS_CAP
-    max_hypotheses_per_clip: int = 64
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ def _fresh_vars(taken, prefix):
             yield name
 
 
-def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph,
-             max_hypotheses: int = RewriteBudget.max_hypotheses_per_clip) -> tuple:
+def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
     """Clip the existential variable `y` of q against one existential axiom.
 
     Returns the clipped queries (usually zero or one).  All variables that
@@ -120,7 +121,7 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph,
     results arise only when an atom on y needs an extra label on the
     attachment variable to be satisfied by the witness; each viable label
     choice yields its own clipped query, with that label added as a
-    concept atom.
+    concept atom; more than `MAX_HYPOTHESES_PER_CLIP` choices raise.
 
     One variable per clip is complete: a set clip succeeds only when no
     atom joins two of its variables, so clipping its variables one after
@@ -174,10 +175,10 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph,
     combo_count = 1
     for options in hypothesis_options:
         combo_count *= len(options)
-    if combo_count > max_hypotheses:
+    if combo_count > MAX_HYPOTHESES_PER_CLIP:
         raise BudgetExceededError(
             f"clipping needs {combo_count} hypothesis combinations, "
-            f"more than {max_hypotheses}")
+            f"more than {MAX_HYPOTHESES_PER_CLIP}")
     results = []
     for combo in itertools.product(*hypothesis_options):
         atoms = set(kept)
@@ -284,8 +285,7 @@ def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> 
             existential = sorted(q1.variables() - set(q1.answer_vars))
             for axiom_index, _ax in g.ex_right:
                 for y in existential:
-                    for clipped in clipping(q1, axiom_index, y, g,
-                                            budget.max_hypotheses_per_clip):
+                    for clipped in clipping(q1, axiom_index, y, g):
                         clipped = _reduce(clipped, g)
                         if clipped not in seen:
                             if len(seen) >= budget.max_queries:

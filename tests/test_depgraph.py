@@ -371,20 +371,21 @@ def _hypothesis_fixpoint(g, i, extra):
 def test_witness_labels_with_matches_the_fixpoint_and_skips_unread_parents():
     rng = random.Random(3141)
     tboxes = [random_tbox(rng) for _ in range(150)]
-    tboxes += [parse_tbox(ontology_tbox(n, seed)) for n in (16, 24) for seed in range(3)]
+    tboxes += [parse_tbox(ontology_tbox(n, seed))
+               for n in (16, 24, 32, 48, 64) for seed in range(3)]
     skipped = looped = 0
     for t in tboxes:
         g = build_dependency_graph(t)
         for i, _ax in g.ex_right:
-            unread = not g._edges_to_parent[i]
+            unread = not g._reads_parent[i]
             for extra in sorted(set(g.nodes) - {TOP}):
                 expected = _hypothesis_fixpoint(g, i, extra)
                 if unread:
                     # No role edge leads back to the parent: the witness
-                    # labels are the plain ones, and nothing is closed.
-                    g._close_labels = None
+                    # labels are the plain ones, and nothing is saturated.
+                    g._saturate = None
                     assert g.witness_labels_with(i, extra) == expected == g.witness_labels(i)
-                    del g._close_labels
+                    del g._saturate
                     skipped += 1
                 else:
                     assert g.witness_labels_with(i, extra) == expected
@@ -423,13 +424,10 @@ def test_worklist_label_closure_matches_the_rescanning_fixpoint():
     for _ in range(150):
         g = build_dependency_graph(random_tbox(rng))
         for name in sorted(g.nodes):
-            assert g._close_labels({name}, None) == _rescanned_closure(g, {name}, None)
-            assert g.subsumers(name) == _rescanned_closure(g, g.subsumers(name), None)
+            assert g.subsumers(name) == _rescanned_closure(g, {name}, None)
         for i, ax in g.ex_right:
             parent = (g.subsumers(ax.lhs), ax.role)
-            assert (g._close_labels({ax.filler}, (g.subsumers(ax.lhs), i))
-                    == _rescanned_closure(g, {ax.filler}, parent))
-            assert g.witness_labels(i) == _rescanned_closure(g, g.witness_labels(i), parent)
+            assert g.witness_labels(i) == _rescanned_closure(g, {ax.filler}, parent)
 
 
 def _round_robin_completion(g):

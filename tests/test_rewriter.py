@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corpus import NAMES, random_instance
 from oracles import make_graph, random_graph
 
+from ontopath import rewriter
 from ontopath.chase import certain_answers
 from ontopath.cypher import emit_cypher
 from ontopath.depgraph import build_dependency_graph
@@ -139,13 +140,15 @@ def test_clipping_with_parent_label_hypothesis():
     assert {query_to_str(c) for c in results} == {"q(x) :- A(x), D(x)"}
 
 
-def test_clipping_hypothesis_budget_raises():
+def test_clipping_hypothesis_budget_raises(monkeypatch):
     g, (idx,) = clip_graph(
         "A <= exists p . B\nexists inv(p) . D <= C\nexists inv(p) . E <= C")
     q = parse_query("q(x) :- p(x,y), C(y)")
-    assert len(clipping(q, idx, "y", g, max_hypotheses=2)) == 2
+    monkeypatch.setattr(rewriter, "MAX_HYPOTHESES_PER_CLIP", 2)
+    assert len(clipping(q, idx, "y", g)) == 2
+    monkeypatch.setattr(rewriter, "MAX_HYPOTHESES_PER_CLIP", 1)
     with pytest.raises(BudgetExceededError):
-        clipping(q, idx, "y", g, max_hypotheses=1)
+        clipping(q, idx, "y", g)
 
 
 @pytest.mark.parametrize("prune", [True, False])
