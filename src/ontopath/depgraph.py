@@ -7,7 +7,8 @@ hyperedge A -> {B1..Bk} records B1 & ... & Bk <= A.
 Three queries are answered here:
 
 * ``witness``: which label sets jointly entail a concept (backward chaining
-  over the conjunction hyperedges of the concept and of its subsumees);
+  over the told and derived conjunction hyperedges of the concept and of
+  its subsumees);
 * ``rewr_concept``: a regular path expression matching exactly the
   data-level derivations of a concept, obtained by reading the graph as a
   finite automaton and eliminating states.  Each step eliminates the state
@@ -19,23 +20,22 @@ Three queries are answered here:
   An expression longer than `MAX_PATH_SIZE` characters raises;
 * ``rewrite_role``: the union of a role's entailed subroles.
 
-To keep rewritings complete on entailments that route through existential
-witnesses, the graph also runs a consequence-based label completion: for
-every concept name a set of certain subsumers, and for every existential
-axiom the labels certainly carried by its witness (including effects of the
-edge back to the witness's parent).  As in consequence-based reasoners
-(Kazakov, Krötzsch & Simančík, JAR 2014), the names and the witnesses are
-the contexts of one rule loop, `_saturate`: a semi-naive worklist that
-draws the consequences of each new (context, label) fact once, over
-indexes built once per graph.  Asking what a witness carries when its
-parent has one more label is the same loop over two temporary contexts.
-Derived subsumptions feed extra epsilon transitions into the automaton, so
-one concept path covers every entailed subsumee; everything remains sound
-because each completion rule is valid in every model.
+Entailment comes from one Horn-ELHI saturation over *contexts*, as in
+consequence-based reasoners (Kazakov, Krötzsch & Simančík, JAR 2014): a
+context is a set of concept names, and its labels are all that a node
+carrying them certainly carries.  A holder of an existential axiom's
+left-hand side reads a witness context of its own, the filler plus what
+the witness reads back from that holder.  On these contexts the graph
+derives, as Clipper does (Eiter, Ortiz, Šimkus, Tran & Xiao, AAAI 2012),
+the minimal sets `lhs & H` of parent labels under which the witness
+carries what a caller needs: for clipping, a label of each concept atom
+on the clipped variable; for a label G the parent reads back from the
+witness, the conjunction `lhs & H <= G`.  Derived conjunctions join the
+told ones in the automaton, so one concept path covers every entailed
+subsumee, and in witness sets.  Every rule is valid in every model, so
+everything stays sound.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import BudgetExceededError
 from .query import (
@@ -67,8 +67,6 @@ from .tbox import (
 DEFAULT_WITNESS_CAP = 1024
 # Characters per expression built while a concept path is eliminated.
 MAX_PATH_SIZE = 1_000_000
-# The context of the witness that `witness_labels_with` saturates.
-_HYPOTHESIZED = "\x00witness"
 
 
 class RoleOrder:
@@ -115,19 +113,42 @@ class RoleOrder:
         return sup in self.superroles(sub)
 
 
+class _cached:
+    """A value computed on first access and stored on the instance, whose
+    attribute then shadows this descriptor: `functools.cached_property`
+    without the lock it takes on Python 3.11 and earlier, which costs about
+    1 µs per first access, several per graph, each of them per rewrite."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class DependencyGraph:
     """Built once from a TBox; the three query operations are pure.
 
-    Construction saturates the label sets of every concept name and every
-    existential witness in one `_saturate` call.  Internal memo tables
-    (concept paths, hypothesis closures, witness sets) only ever gain
-    entries that are deterministic functions of the immutable inputs, so
-    sharing one graph across threads is safe.
+    Construction saturates the context of every concept name in one
+    `_saturate` call.  Everything else (other contexts, minimal parent
+    sets, derived conjunctions, the automaton, concept paths and witness
+    sets) is derived on first ask and kept.  Every memo table only ever
+    gains complete entries that are deterministic functions of the
+    immutable inputs, so sharing one graph across threads is safe.
+    `witness_cap` bounds the minimal label sets derived for one ask.
     """
 
-    def __init__(self, t: TBox):
+    def __init__(self, t: TBox, witness_cap: int = DEFAULT_WITNESS_CAP):
         t = normalize(t)
         self.tbox = t
+        self.witness_cap = witness_cap
         nf = t.normalized
         self.nodes = concept_names(nf)
         self.eps_edges = tuple(
@@ -140,11 +161,11 @@ class DependencyGraph:
         self.ex_right = tuple(
             (i, ax) for i, ax in enumerate(nf) if isinstance(ax, ExistsRight))
         # Indexes for `_saturate`: ε-edges by subsumee, conjunctions by
-        # member, existential axioms by left-hand side, and for each
-        # existential axiom the role edges its edge to the witness matches,
-        # as filler -> right-hand sides: read from the witness by a holder of
-        # the left-hand side, and, through the edge back, from the parent by
-        # the witness.
+        # member, and for each existential axiom the role edges its edge to
+        # the witness matches, as filler -> right-hand sides: read from the
+        # witness by a holder of the left-hand side, and, through the edge
+        # back, from the holder by the witness.  A label opens the axioms
+        # whose witness context it can start or change.
         self._supers = {}
         for sup, sub in self.eps_edges:
             self._supers.setdefault(sub, []).append(sup)
@@ -152,11 +173,10 @@ class DependencyGraph:
         for sup, parts in self.conj_edges:
             for part in parts:
                 self._conj_by_part.setdefault(part, []).append((sup, parts))
-        self._ex_right_by_lhs = {}
         self._reads_witness = {}
         self._reads_parent = {}
+        self._opens = {}
         for i, ax in self.ex_right:
-            self._ex_right_by_lhs.setdefault(ax.lhs, []).append(i)
             down = self._reads_witness[i] = {}
             up = self._reads_parent[i] = {}
             back = ax.role.inverse()
@@ -165,68 +185,42 @@ class DependencyGraph:
                     down.setdefault(filler, []).append(sup)
                 if self.roles.is_subrole(back, role):
                     up.setdefault(filler, []).append(sup)
-        starts = {name: (name,) for name in self.nodes}
-        witnesses = {}
-        for i, ax in self.ex_right:
-            starts[i] = (ax.filler,)
-            witnesses[i] = i
-        labels = self._saturate(starts, witnesses, {})
-        self._subsumers = {name: frozenset(labels[name]) for name in self.nodes}
-        self._witness_labels = {i: frozenset(labels[i]) for i, _ in self.ex_right}
-        # Transitions by source state, as (regex, dst) with the regex in
-        # the form `_eliminate` works on.
-        self._outgoing = {}
-        for src, label, dst in self._build_automaton():
-            regex = _EPS if label is None else _r(False, label)
-            self._outgoing.setdefault(src, []).append((regex, dst))
-        self._concept_paths = {}
-        self._hypothesis_cache = {}
-        # For `witness`: conjunctions by each non-top subsumer of their
-        # right-hand side, and its results by (name, cap).
-        self._conjs_by_subsumer = {}
-        for rhs, parts in sorted(self.conj_edges, key=lambda e: (e[0], sorted(e[1]))):
-            for sup in sorted(self.subsumers(rhs) - {TOP}):  # TOP needs no witnessing
-                self._conjs_by_subsumer.setdefault(sup, []).append(parts)
+            if down:
+                for label in dict.fromkeys((ax.lhs, *up)):
+                    self._opens.setdefault(label, []).append(i)
+        self._labels = {}
+        starts = {name: frozenset((name,)) for name in self.nodes}
+        labels = self._saturate(starts.values())
+        self._subsumers = {name: frozenset(labels[s]) for name, s in starts.items()}
+        self._parent_sets = {}
         self._witness_sets = {}
+        self._concept_paths = {}
 
-    # -- label completion ---------------------------------------------------
+    # -- saturation -----------------------------------------------------------
 
-    def _saturate(self, starts, witnesses, closed) -> dict:
-        """Grow label sets to their least fixpoint under every
-        non-generating consequence, and return them by context.
-
-        A context is a concept name or an existential axiom's witness;
-        `starts` gives each context its starting labels, and `witnesses`
-        maps each witness context among them to its axiom's index.  The
-        rules are the ε-edges, the conjunctions, the role edges a holder of
-        an axiom's left-hand side reads from the witness, and those the
-        witness reads back from its parent: the context named by that
-        left-hand side.  A parent reads its own witness; any other holder
-        of axiom j's left-hand side reads the witness context j, either
-        grown here or among the sets in `closed`.
+    def _saturate(self, starts) -> dict:
+        """Grow the contexts `starts`, and those they come to read, to their
+        least fixpoint, and return the label sets of the contexts grown.
+        The rules are the ε-edges, the conjunctions and the role edges a
+        holder of an axiom's left-hand side reads from its witness: the
+        filler's context, grown by what the witness reads back from the
+        holder's labels.
 
         Semi-naive: each context keeps a worklist of labels to add, and the
         consequences of a (context, label) fact are drawn once, when it is
-        added.  A witness listens to its parent, and a holder of an axiom's
-        left-hand side to the witness it reads, so a new fact reaches
-        exactly the contexts whose rules look at it.
+        added.  A holder listens to each witness it grows here; a context
+        saturated before never changes, since it reads no new context.  The
+        sets grown join the graph's only when they are complete.
         """
-        supers, conj_by_part = self._supers, self._conj_by_part
-        by_lhs, reads_witness = self._ex_right_by_lhs, self._reads_witness
+        closed = self._labels
+        labels, pending, listeners, opened = {}, {}, {}, set()
+        supers, conj_by_part, opens = self._supers, self._conj_by_part, self._opens
         axioms = self.tbox.normalized
-        children = {}
-        listeners = {}  # context -> [(listener, filler -> what the listener gains)]
-        for w, i in witnesses.items():
-            lhs = axioms[i].lhs
-            children[lhs, i] = w
-            if self._reads_parent[i]:
-                listeners.setdefault(lhs, []).append((w, self._reads_parent[i]))
-        labels = dict(closed)
-        pending = {}  # each context's labels still to add, with their consequences
-        for ctx, start in starts.items():
-            labels[ctx] = set()
-            pending[ctx] = [*start, TOP]
-        busy = list(starts)  # every context with a nonempty worklist is on it
+        busy = []  # every context with a nonempty worklist is on it
+        for start in starts:
+            if start not in closed and start not in labels:
+                labels[start], pending[start] = set(), [*start, TOP]
+                busy.append(start)
         while busy:
             ctx = busy.pop()
             got, todo = labels[ctx], pending[ctx]
@@ -240,16 +234,25 @@ class DependencyGraph:
                 for sup, parts in conj_by_part.get(name, ()):
                     if parts <= got:
                         todo.append(sup)
-                for j in by_lhs.get(name, ()):
-                    heard = reads_witness[j]
-                    if heard:
-                        w = children.get((ctx, j), j)
+                for j in opens.get(name, ()):
+                    if axioms[j].lhs not in got:
+                        continue
+                    w = self._witness_start(j, got)
+                    if (ctx, j, w) in opened:
+                        continue
+                    opened.add((ctx, j, w))
+                    heard = self._reads_witness[j]
+                    seen = closed.get(w)
+                    if seen is None:
+                        if w not in labels:
+                            labels[w], pending[w] = set(), [*w, TOP]
+                            busy.append(w)
                         listeners.setdefault(w, []).append((ctx, heard))
                         hearers = listeners.get(ctx)  # a witness may read itself
                         seen = labels[w]
-                        for filler, sups in heard.items():
-                            if filler in seen:
-                                todo.extend(sups)
+                    for filler, sups in heard.items():
+                        if filler in seen:
+                            todo.extend(sups)
                 if hearers:
                     for other, heard in hearers:
                         sups = heard.get(name)
@@ -258,7 +261,19 @@ class DependencyGraph:
                             if not queue:
                                 busy.append(other)
                             queue.extend(sups)
+        closed.update(labels)
         return labels
+
+    def _witness_start(self, axiom_index: int, parent) -> frozenset:
+        """The context of an axiom's witness below a parent carrying `parent`."""
+        up = self._reads_parent[axiom_index]
+        return frozenset((self.tbox.normalized[axiom_index].filler,
+                          *(sup for filler in up if filler in parent for sup in up[filler])))
+
+    def _closure(self, start: frozenset):
+        """The labels of the context `start`, saturated on first ask."""
+        hit = self._labels.get(start)
+        return self._saturate((start,))[start] if hit is None else hit
 
     def subsumers(self, name: str) -> frozenset:
         """Concept names certainly entailed for anything labeled `name`."""
@@ -269,39 +284,121 @@ class DependencyGraph:
 
     def witness_labels(self, axiom_index: int) -> frozenset:
         """Labels certainly carried by the witness of an ExistsRight axiom."""
-        return self._witness_labels[axiom_index]
+        lhs = self.tbox.normalized[axiom_index].lhs
+        return frozenset(self._closure(self._witness_start(axiom_index, self._subsumers[lhs])))
 
-    def witness_labels_with(self, axiom_index: int, extra_parent_label: str) -> frozenset:
-        """Witness labels when the parent additionally carries one label.
+    # -- derived conjunctions -------------------------------------------------
 
-        One saturation over two contexts: the parent, starting from the
-        axiom's left-hand side and the extra label, and its witness, which
-        reads the parent through the edge between them, while the parent
-        reads it back.  Every other witness is read closed.  When no role
-        edge leads from the witness back to its parent, the witness never
-        reads the parent's labels, and the result is its plain
-        `witness_labels`.
+    def parent_sets(self, axiom_index: int, needs: frozenset) -> tuple:
+        """The ⊆-minimal parent label sets M, smallest first, under which
+        the witness of an existential axiom carries a label of each set in
+        `needs`: M is the axiom's left-hand side plus labels the witness
+        reads from its parent.  Empty when no such set exists; past the
+        graph's `witness_cap` sets, this raises.
+
+        The witness's labels grow with M, so the search is dualize and
+        advance over the labels H the witness can read: shrink a set that
+        works to a minimal one label by label, then try the complement of
+        each minimal set meeting every minimal H found so far, until none
+        works.  Each try is two context lookups, saturated on first ask.
         """
-        if not self._reads_parent[axiom_index]:
-            return self._witness_labels[axiom_index]
-        key = (axiom_index, extra_parent_label)
-        hit = self._hypothesis_cache.get(key)
+        key = (axiom_index, needs)
+        hit = self._parent_sets.get(key)
         if hit is None:
-            ax = self.tbox.normalized[axiom_index]
-            starts = {ax.lhs: (ax.lhs, extra_parent_label), _HYPOTHESIZED: (ax.filler,)}
-            labels = self._saturate(starts, {_HYPOTHESIZED: axiom_index}, self._witness_labels)
-            hit = self._hypothesis_cache[key] = frozenset(labels[_HYPOTHESIZED])
+            lhs = self.tbox.normalized[axiom_index].lhs
+            cap = self.witness_cap
+
+            def works(h):
+                parent = self._closure(frozenset((lhs, *h)))
+                carried = self._closure(self._witness_start(axiom_index, parent))
+                return all(labels & carried for labels in needs)
+            if works(()):
+                hit = (frozenset((lhs,)),)
+            else:
+                keys = frozenset(self._reads_parent[axiom_index]) - self._subsumers[lhs]
+                found, blockers = [], [frozenset()]
+                while blockers:
+                    free = next((keys - b for b in blockers if works(keys - b)), None)
+                    if free is None:
+                        break
+                    for k in sorted(free):
+                        if works(free - {k}):
+                            free -= {k}
+                    found.append(free)
+                    blockers = sorted(_minimal(b if b & free else b | {k}
+                                               for b in blockers for k in free),
+                                      key=lambda b: (len(b), sorted(b)))
+                    if len(found) > cap or len(blockers) > cap:
+                        raise BudgetExceededError(
+                            f"parent label sets of axiom {axiom_index} exceed {cap}")
+                hit = tuple(sorted((frozenset((lhs, *h)) for h in found),
+                                   key=lambda m: (len(m), sorted(m))))
+            self._parent_sets[key] = hit
+        if len(hit) > self.witness_cap:
+            raise BudgetExceededError(
+                f"parent label sets of axiom {axiom_index} exceed {self.witness_cap}")
         return hit
+
+    @_cached
+    def derived_conj_edges(self) -> tuple:
+        """(G, M) for each conjunction M <= G derived through a witness: M
+        is a minimal parent set under which the witness carries a filler G
+        is read back from, and no proper subset of M entails G."""
+        derived = set()
+        for i, _ax in self.ex_right:
+            read_back = {}
+            for filler, sups in self._reads_witness[i].items() if self._reads_parent[i] else ():
+                for sup in sups:
+                    read_back.setdefault(sup, set()).add(filler)
+            for sup, fillers in read_back.items():
+                for body in self.parent_sets(i, frozenset((frozenset(fillers),))):
+                    if len(body) > 1 and not any(sup in self._closure(body - {m}) for m in body):
+                        derived.add((sup, body))
+        return tuple(sorted(derived, key=lambda e: (e[0], sorted(e[1]))))
+
+    @_cached
+    def _rules_by_subsumer(self) -> dict:
+        """Conjunction edge bodies by each non-top subsumer of their head."""
+        rules = {}
+        for rhs, parts in self.conj_edges + self.derived_conj_edges:
+            for sup in self.subsumers(rhs) - {TOP}:  # TOP needs no witnessing
+                rules.setdefault(sup, []).append(parts)
+        return rules
+
+    def minimal_sets(self, name: str, cap: int = DEFAULT_WITNESS_CAP) -> frozenset:
+        """The ⊆-minimal label sets that entail `name` through conjunction
+        edges: {name}, and for each edge whose right-hand side entails
+        `name`, a union of one set of each of its members.  The sets of the
+        names they are made of grow together, round by round, to their
+        least fixpoint; past `cap` sets for one name, this raises."""
+        rules = self._rules_by_subsumer
+        sets = {name: frozenset({frozenset({name})})}
+        changed = True
+        while changed:
+            changed = False
+            for x in sorted(sets.keys() & rules.keys()):
+                grown = {frozenset({x})}
+                for parts in rules[x]:
+                    unions = {frozenset()}
+                    for part in parts:
+                        if part not in sets:
+                            sets[part], changed = frozenset({frozenset({part})}), True
+                        unions = {u | s for u in unions for s in sets[part]}
+                    grown |= unions
+                grown = _minimal(grown)
+                if len(grown) > cap:
+                    raise BudgetExceededError(f"witness sets for {name!r} exceed {cap}")
+                if grown != sets[x]:
+                    sets[x], changed = grown, True
+        return sets[name]
 
     # -- automaton ------------------------------------------------------------
 
-    def _label_tests(self, name: str, seen=None) -> PathExpr:
+    def _label_tests(self, name: str, seen=frozenset()) -> PathExpr:
         """Zero-length path expressions that certify `name` at a node."""
-        if seen is None:
-            seen = frozenset()
         labels = {y for y in self.nodes if name in self._subsumers[y]}
         branches = [NodeTest(frozenset(labels))] if labels else []
-        for rhs, parts in self.conj_edges:
+        for rhs, parts in self.conj_edges + self.derived_conj_edges:
             if rhs != name or parts & seen:
                 continue
             guarded = seen | parts | {name}
@@ -309,26 +406,24 @@ class DependencyGraph:
                 [self._label_tests(p, guarded) for p in sorted(parts)]))
         return union_path(branches) if len(branches) > 1 else branches[0]
 
-    def _build_automaton(self):
-        """Transitions (src, label, dst); label None means epsilon."""
-        trans = []
-        for src in self.nodes:
-            if src == TOP:
-                continue
-            for dst in self.nodes:
-                if dst != src and src in self._subsumers[dst]:
-                    trans.append((src, None, dst))
-        for rhs, role, filler in self.role_edges:
-            if rhs != TOP:
-                trans.append((rhs, EdgeStep(role), filler))
-        for rhs, parts in self.conj_edges:
-            if rhs == TOP:
-                continue
-            for target in sorted(parts):
+    @_cached
+    def _outgoing(self) -> dict:
+        """Automaton transitions by source state, as (regex, dst): an epsilon
+        to each subsumee, an edge step per role edge, and to each member of
+        a told or derived conjunction the label tests of the others."""
+        trans = [(src, _EPS, dst) for src in self.nodes if src != TOP
+                 for dst in self.nodes if dst != src and src in self._subsumers[dst]]
+        trans += [(rhs, _r(False, EdgeStep(role)), filler)
+                  for rhs, role, filler in self.role_edges if rhs != TOP]
+        for rhs, parts in self.conj_edges + self.derived_conj_edges:
+            for target in sorted(parts) if rhs != TOP else ():
                 prefix = concat_path(
                     [self._label_tests(p, parts) for p in sorted(parts) if p != target])
-                trans.append((rhs, prefix, target))
-        return tuple(trans)
+                trans.append((rhs, _r(False, prefix), target))
+        outgoing = {}
+        for src, regex, dst in trans:
+            outgoing.setdefault(src, []).append((regex, dst))
+        return outgoing
 
     # -- regex extraction -------------------------------------------------------
 
@@ -511,49 +606,45 @@ def _r_to_path(r) -> PathExpr:
     return union_path([ANY_NODE, expr])
 
 
+def _minimal(sets) -> frozenset:
+    """The ⊆-minimal sets among `sets`."""
+    kept = []
+    for s in sorted(set(sets), key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 
 
-def build_dependency_graph(t: TBox) -> DependencyGraph:
-    return DependencyGraph(t)
+def build_dependency_graph(t: TBox, witness_cap: int = DEFAULT_WITNESS_CAP) -> DependencyGraph:
+    return DependencyGraph(t, witness_cap)
 
 
 def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
-    """All label sets that jointly entail `name` through conjunction axioms.
+    """All label sets that jointly entail `name` through conjunctions.
 
-    Expansion replaces a set element by the left-hand side of a conjunction
-    axiom whose right-hand side entails that element.  Entailed subsumees
-    get no sets of their own: the concept path of each member already
-    matches them through its epsilon transitions.  A set other than {name}
-    is dropped when its members entail every member of another set, since
-    its branch is then contained in the other's (of two sets that entail
-    each other, the smaller is kept).  The result always contains {name}.
-    Raises BudgetExceededError past `cap` sets; only results are kept on
-    the graph, so every call over the cap raises.
+    The candidates are the ⊆-minimal sets of `DependencyGraph.minimal_sets`,
+    built over the told conjunctions and those derived through witnesses.
+    Entailed subsumees get no sets of their own: the concept path of each
+    member already matches them through its epsilon transitions.  A set
+    other than {name} is dropped when its members entail every member of
+    another set, since its branch is then contained in the other's (of two
+    sets that entail each other, the smaller is kept).  The result always
+    contains {name}.  Raises BudgetExceededError past `cap` sets for one
+    name; only results are kept on the graph, so every call over the cap
+    raises.
     """
     known = g._witness_sets.get((name, cap))
     if known is not None:
         return known
-    conjs = g._conjs_by_subsumer
+    if name not in g._rules_by_subsumer:  # no conjunction entails the name
+        known = g._witness_sets[(name, cap)] = (frozenset({name}),)
+        return known
+    sets = g.minimal_sets(name, cap)
     start = frozenset({name})
-    if name not in conjs:
-        # No conjunction entails the name, so nothing expands {name}.
-        result = g._witness_sets[(name, cap)] = (start,)
-        return result
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for member in sorted(current):
-            for parts in conjs.get(member, ()):
-                candidate = current - {member} | parts
-                if candidate not in visited:
-                    if len(visited) >= cap:
-                        raise BudgetExceededError(
-                            f"witness expansion for {name!r} exceeds {cap} sets")
-                    visited.add(candidate)
-                    queue.append(candidate)
 
     def covers(s, other):
         return all(any(g.entails_subsumption(m, o) for m in s) for o in other)
@@ -561,14 +652,12 @@ def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
     def key(s):
         return (len(s), sorted(s))
 
-    minimal = [
-        s for s in visited
+    result = g._witness_sets[(name, cap)] = tuple(sorted((
+        s for s in sets
         if s == start or not any(
             other != s and covers(s, other)
             and not (covers(other, s) and key(s) < key(other))
-            for other in visited)
-    ]
-    result = g._witness_sets[(name, cap)] = tuple(sorted(minimal, key=key))
+            for other in sets)), key=key))
     return result
 
 

@@ -12,9 +12,10 @@ The pipeline has four phases:
    every model of the TBox.  It runs on the input and on each clipped
    query, never after concept rewriting, whose atoms range over raw data.
 2. Clipping saturation: a non-answer variable whose atoms are certainly
-   satisfied by the anonymous witness of an existential axiom is folded
-   into a concept atom on its attachment variable, one variable at a
-   time, to fixpoint.
+   satisfied by the anonymous witness of an existential axiom, below a
+   parent carrying one of the minimal label sets that make it so, is
+   folded into concept atoms on its attachment variable, one variable at
+   a time, to fixpoint.
 3. Concept rewriting: a query's rewritings are the product, over its
    concept atoms, of each atom's alternatives: the union of its labels'
    concept-derivation paths (which contains the atom itself and covers
@@ -62,10 +63,7 @@ from .query import (
     substitute_role,
     union_path,
 )
-from .tbox import TOP, Role, TBox, normalize
-
-# Label combinations one clipping may hypothesize on its attachment variable.
-MAX_HYPOTHESES_PER_CLIP = 64
+from .tbox import Role, TBox, normalize
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,12 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
 
     Returns the clipped queries (usually zero or one).  All variables that
     attach y to the rest of the query are unified: the axiom's witness has
-    a single parent, so any match sends them to the same node.  Several
-    results arise only when an atom on y needs an extra label on the
-    attachment variable to be satisfied by the witness; each viable label
-    choice yields its own clipped query, with that label added as a
-    concept atom; more than `MAX_HYPOTHESES_PER_CLIP` choices raise.
+    a single parent, so any match sends them to the same node.  The
+    attachment variable gets a concept atom per label of a parent label
+    set: the axiom's left-hand side and ⊆-minimal further labels under
+    which the witness carries a label of every concept atom on y
+    (`DependencyGraph.parent_sets`).  Each such set yields its own clipped
+    query; more than the graph's `witness_cap` of them raise.
 
     One variable per clip is complete: a set clip succeeds only when no
     atom joins two of its variables, so clipping its variables one after
@@ -131,10 +130,9 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
     ax = g.tbox.normalized[axiom_index]
     if y in q.answer_vars:
         raise ValueError("answer variables cannot be clipped")
-    certain = g.witness_labels(axiom_index)
     attachments = set()
     kept = []
-    hypothesis_options = []
+    needs = []
     for atom in q.atoms:
         if y not in atom_vars(atom):
             kept.append(atom)
@@ -142,15 +140,7 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
         if isinstance(atom, TestAtom):
             return ()  # anonymous witnesses carry no properties
         if isinstance(atom, ConceptAtom):
-            if atom.labels & certain:
-                continue
-            options = sorted(
-                extra for extra in g.nodes
-                if extra != TOP
-                and atom.labels & g.witness_labels_with(axiom_index, extra))
-            if not options:
-                return ()
-            hypothesis_options.append(options)
+            needs.append(atom.labels)
             continue
         if not isinstance(atom.path, EdgeStep):
             return ()
@@ -163,6 +153,9 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
         if not g.roles.is_subrole(ax.role, step):
             return ()
         attachments.add(outside)
+    parents = g.parent_sets(axiom_index, frozenset(needs))
+    if not parents:
+        return ()
     rename = {}
     if attachments:
         preferred = sorted(v for v in attachments if v in q.answer_vars)
@@ -172,20 +165,10 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
         z = next(_fresh_vars(q.variables(), "__c"))
     answer_vars = tuple(rename.get(v, v) for v in q.answer_vars)
     kept = [_rename_atom(atom, rename) for atom in kept]
-    combo_count = 1
-    for options in hypothesis_options:
-        combo_count *= len(options)
-    if combo_count > MAX_HYPOTHESES_PER_CLIP:
-        raise BudgetExceededError(
-            f"clipping needs {combo_count} hypothesis combinations, "
-            f"more than {MAX_HYPOTHESES_PER_CLIP}")
     results = []
-    for combo in itertools.product(*hypothesis_options):
-        atoms = set(kept)
-        atoms.add(ConceptAtom(frozenset({ax.lhs}), z))
-        for extra in combo:
-            atoms.add(ConceptAtom(frozenset({extra}), z))
-        results.append(C2RPQ(answer_vars, frozenset(atoms)))
+    for m in parents:
+        atoms = frozenset(kept).union([ConceptAtom(frozenset({name}), z) for name in m])
+        results.append(C2RPQ(answer_vars, atoms))
     return tuple(dict.fromkeys(results))
 
 
@@ -362,7 +345,7 @@ def rewrite_ncq(q: C2RPQ, t: TBox, *, budget: RewriteBudget = None,
     budget = budget or RewriteBudget()
     _check_ncq(q)
     t = normalize(t)
-    g = build_dependency_graph(t)
+    g = build_dependency_graph(t, budget.witness_cap)
     q0 = _reduce(canon_query(q), g)
 
     saturated = _saturate_clipping(q0, g, budget)

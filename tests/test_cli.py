@@ -288,6 +288,21 @@ def test_check_reports_known_incompleteness(capsys, tmp_path):
     assert out == "missing (v)\n"
 
 
+def test_check_answers_a_conjunction_derived_through_a_witness(capsys, tmp_path):
+    # Under A2 <= exists r1 . A9, the witness of a node carrying A14 gets A5,
+    # so the node gets A3 and A6: A14 & A2 <= A3, though no axiom says so.
+    tbox = tmp_path / "t.dl"
+    tbox.write_text("A3 <= A6\nA5 <= A2\nexists r1 . A5 <= A3\n"
+                    "exists inv(r1) . A14 <= A5\nA2 <= exists r1 . A9\n")
+    query = tmp_path / "q.ncq"
+    query.write_text("q(x) :- A6(x)\n")
+    graph = tmp_path / "g.jsonl"
+    graph.write_text('{"type":"node","id":"n3","labels":["A14","A5"]}\n')
+    code, out, _err = run(capsys, ["check", "-t", str(tbox), "-q", str(query),
+                                   "-g", str(graph)])
+    assert (code, out) == (0, "OK\n")
+
+
 def test_config_precedence_flags_over_file_over_env(capsys, tmp_path, monkeypatch,
                                                     teacher_files):
     tbox, _, graph = teacher_files

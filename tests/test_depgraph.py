@@ -2,11 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from corpus import NAMES, ROLES, ontology_tbox, random_tbox
+from corpus import NAMES, ROLES, ontology_tbox, random_instance, random_tbox
 from oracles import automaton_accepts, make_graph, random_graph
 
 from ontopath import depgraph
@@ -345,58 +346,75 @@ def test_witness_labels_cover_parent_edge_effects():
     assert "D" in g.witness_labels(idx)
 
 
-def test_witness_labels_with_hypothesis():
-    g = dep("A <= exists r . B\nexists inv(r) . E <= D")
-    ((idx, _ax),) = g.ex_right
-    assert "D" not in g.witness_labels(idx)
-    assert "D" in g.witness_labels_with(idx, "E")
+def test_a_holder_reads_a_witness_below_itself():
+    # The witness of A4's axiom hangs from X, which also carries A5: it
+    # gets C from there, and X gets D back.  Neither A4 nor A5 alone does.
+    g = dep("X <= A4\nX <= A5\nA4 <= exists r . B\nexists inv(r) . A5 <= C\n"
+            "exists r . C <= D")
+    assert g.subsumers("X") == {"X", "A4", "A5", "D", TOP}
+    assert "D" not in g.subsumers("A4") | g.subsumers("A5")
+    assert g.derived_conj_edges == (("D", frozenset({"A4", "A5"})),)
+    assert witness("D", g) == (frozenset({"D"}), frozenset({"A4", "A5"}))
 
 
-def _hypothesis_fixpoint(g, i, extra):
-    """The witness labels of ExistsRight axiom i when its parent also
-    carries `extra`: parent and witness closed by the rescanning fixpoint,
-    in turn, until neither grows."""
+def test_parent_sets_are_the_minimal_label_sets_that_work():
+    # The witness gets K from F3 alone, or from F1 and F2 together; F0 and
+    # the eleven Hk give it nothing K needs.
+    t = parse_tbox("A <= exists r . B\nexists inv(r) . F1 <= C1\nexists inv(r) . F2 <= C2\n"
+                   "C1 & C2 <= K\nexists inv(r) . F3 <= K\nexists inv(r) . F0 <= C0\n"
+                   + "".join(f"exists inv(r) . H{k} <= C0\n" for k in range(11)))
+    g = build_dependency_graph(t)
+    ((i, _ax),) = g.ex_right
+    k = frozenset({frozenset({"K"})})
+    assert g.parent_sets(i, k) == (frozenset({"A", "F3"}), frozenset({"A", "F1", "F2"}))
+    assert g.parent_sets(i, frozenset({frozenset({"B"})})) == (frozenset({"A"}),)
+    assert g.parent_sets(i, frozenset({frozenset({"Z"})})) == ()
+    assert len(g.parent_sets(i, frozenset({frozenset({"C0"})}))) == 12
+    with pytest.raises(BudgetExceededError):
+        build_dependency_graph(t, witness_cap=11).parent_sets(i, frozenset({frozenset({"C0"})}))
+
+
+def test_labels_and_witness_sets_match_the_one_node_chase():
+    """On the acceptance sweep's TBoxes, with each label set on a node of
+    its own: `subsumers(a)` is what the chase gives {a}, every witness set
+    of B chases to B, and every 2- or 3-name set that chases to B covers
+    some witness set of B.  The parent's witness sets missed four names
+    here, which only conjunctions derived through a witness entail."""
+    rng = random.Random(20250811)
+    derived = 0
+    for _ in range(500):
+        g = build_dependency_graph(random_instance(rng)[0])
+        names = [n for n in g.nodes if n != TOP]
+        sets = [frozenset(s) for size in (1, 2, 3) for s in combinations(names, size)]
+        sets += [w for name in names for w in witness(name, g)]
+        sets = list(dict.fromkeys(sets))
+        graph = make_graph({f"n{i}": sorted(s) for i, s in enumerate(sets)})
+        chased = chase(graph, g.tbox, depth=4)
+        labels = {s: chased.labels[f"n{i}"] | {TOP} for i, s in enumerate(sets)}
+        for name in names:
+            assert g.subsumers(name) == labels[frozenset({name})], name
+            for w in witness(name, g):
+                assert name in labels[w], (name, w)
+        for s in sets:
+            for b in labels[s] - {TOP} if len(s) > 1 else ():
+                assert any(all(any(g.entails_subsumption(m, o) for m in s) for o in w)
+                           for w in witness(b, g)), (s, b)
+        derived += bool(g.derived_conj_edges)
+    assert derived == 3
+
+
+def _witness_start(g, i, parent):
+    """Axiom i's witness below a parent carrying `parent`: its filler and
+    what it reads back from the parent through the edge between them."""
     ax = g.tbox.normalized[i]
-    parent, child = {ax.lhs, extra}, {ax.filler}
-    while True:
-        parent = _rescanned_closure(g, parent, None)
-        closed = _rescanned_closure(g, child, (parent, ax.role))
-        back = {sup for sup, role, filler in g.role_edges
-                if g.roles.is_subrole(ax.role, role) and filler in closed}
-        if closed == child and back <= parent:
-            return child
-        child, parent = closed, parent | back
+    return frozenset({ax.filler} | {
+        sup for sup, role, filler in g.role_edges
+        if g.roles.is_subrole(ax.role.inverse(), role) and filler in parent})
 
 
-def test_witness_labels_with_matches_the_fixpoint_and_skips_unread_parents():
-    rng = random.Random(3141)
-    tboxes = [random_tbox(rng) for _ in range(150)]
-    tboxes += [parse_tbox(ontology_tbox(n, seed))
-               for n in (16, 24, 32, 48, 64) for seed in range(3)]
-    skipped = looped = 0
-    for t in tboxes:
-        g = build_dependency_graph(t)
-        for i, _ax in g.ex_right:
-            unread = not g._reads_parent[i]
-            for extra in sorted(set(g.nodes) - {TOP}):
-                expected = _hypothesis_fixpoint(g, i, extra)
-                if unread:
-                    # No role edge leads back to the parent: the witness
-                    # labels are the plain ones, and nothing is saturated.
-                    g._saturate = None
-                    assert g.witness_labels_with(i, extra) == expected == g.witness_labels(i)
-                    del g._saturate
-                    skipped += 1
-                else:
-                    assert g.witness_labels_with(i, extra) == expected
-                    looped += 1
-    assert skipped > 500 and looped > 100
-
-
-def _rescanned_closure(g, labels, parent, witness_labels=None):
+def _rescanned_closure(g, labels, read):
     """The label closure as a fixpoint that rescans every rule until none
-    fires, reading witness sets from `witness_labels` (default the graph's)."""
-    witness_labels = witness_labels or g.witness_labels
+    fires; `read(start)` gives the labels of the witness context `start`."""
     out = set(labels) | {TOP}
     changed = True
     while changed:
@@ -405,53 +423,56 @@ def _rescanned_closure(g, labels, parent, witness_labels=None):
         new |= {sup for sup, parts in g.conj_edges if parts <= out}
         for i, ax in g.ex_right:
             if ax.lhs in out:
-                child = witness_labels(i)
+                child = read(_witness_start(g, i, out))
                 new |= {sup for sup, role, filler in g.role_edges
                         if g.roles.is_subrole(ax.role, role) and filler in child}
-        if parent is not None:
-            parent_labels, role_in = parent
-            new |= {sup for sup, role, filler in g.role_edges
-                    if g.roles.is_subrole(role_in.inverse(), role)
-                    and filler in parent_labels}
         if not new <= out:
             out |= new
             changed = True
     return out
 
 
+# The holder gap: X reads a witness of A4's axiom that gets C from X's A5.
+HOLDER = "X <= A4\nX <= A5\nA4 <= exists r . B\nexists inv(r) . A5 <= C\nexists r . C <= D"
+
+
 def test_worklist_label_closure_matches_the_rescanning_fixpoint():
     rng = random.Random(2718)
-    for _ in range(150):
-        g = build_dependency_graph(random_tbox(rng))
+    for t in [parse_tbox(HOLDER)] + [random_tbox(rng) for _ in range(150)]:
+        g = build_dependency_graph(t)
         for name in sorted(g.nodes):
-            assert g.subsumers(name) == _rescanned_closure(g, {name}, None)
+            assert g.subsumers(name) == _rescanned_closure(g, {name}, g._closure)
         for i, ax in g.ex_right:
-            parent = (g.subsumers(ax.lhs), ax.role)
-            assert g.witness_labels(i) == _rescanned_closure(g, {ax.filler}, parent)
+            start = _witness_start(g, i, g.subsumers(ax.lhs))
+            assert g.witness_labels(i) == _rescanned_closure(g, start, g._closure)
 
 
 def _round_robin_completion(g):
-    """Subsumers and witness labels by plain rounds: every set closed by the
-    rescanning fixpoint, over the sets of the round so far, until a round
-    adds nothing."""
-    subsumers = {name: {name, TOP} for name in g.nodes}
-    witnessed = {i: {ax.filler, TOP} for i, ax in g.ex_right}
+    """Subsumers and witness labels by plain rounds: every context closed by
+    the rescanning fixpoint, over the sets of the round so far, and every
+    witness context a closure reads added, until a round changes nothing."""
+    contexts = {frozenset({name}): {name, TOP} for name in g.nodes}
     changed = True
+
+    def read(start):
+        nonlocal changed
+        if start not in contexts:
+            contexts[start], changed = set(start) | {TOP}, True
+        return contexts[start]
+
     while changed:
         changed = False
-        for name in g.nodes:
-            closed = _rescanned_closure(g, subsumers[name], None, witnessed.__getitem__)
-            changed |= closed != subsumers[name]
-            subsumers[name] = closed
-        for i, ax in g.ex_right:
-            closed = _rescanned_closure(g, witnessed[i], (subsumers[ax.lhs], ax.role),
-                                        witnessed.__getitem__)
-            changed |= closed != witnessed[i]
-            witnessed[i] = closed
+        for ctx in list(contexts):
+            closed = _rescanned_closure(g, contexts[ctx], read)
+            changed |= closed != contexts[ctx]
+            contexts[ctx] = closed
+    subsumers = {name: contexts[frozenset({name})] for name in g.nodes}
+    witnessed = {i: read(_witness_start(g, i, subsumers[ax.lhs])) for i, ax in g.ex_right}
     return subsumers, witnessed
 
 
 def _completion_corpus():
+    yield parse_tbox(HOLDER)
     rng = random.Random(1618)
     for _ in range(500):
         yield random_tbox(rng)

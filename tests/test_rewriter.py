@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import NAMES, random_instance
+from corpus import NAMES, ontology_tbox, random_instance
 from oracles import make_graph, random_graph
 
-from ontopath import rewriter
 from ontopath.chase import certain_answers
 from ontopath.cypher import emit_cypher
 from ontopath.depgraph import build_dependency_graph
@@ -33,7 +32,7 @@ from ontopath.rewriter import (
     rewrite_atomic,
     rewrite_ncq,
 )
-from ontopath.tbox import TOP, Role, normalize, parse_tbox
+from ontopath.tbox import TOP, Role, normalize, parse_tbox, validate_fragment
 
 
 def branches(rewriting):
@@ -140,15 +139,36 @@ def test_clipping_with_parent_label_hypothesis():
     assert {query_to_str(c) for c in results} == {"q(x) :- A(x), D(x)"}
 
 
-def test_clipping_hypothesis_budget_raises(monkeypatch):
-    g, (idx,) = clip_graph(
-        "A <= exists p . B\nexists inv(p) . D <= C\nexists inv(p) . E <= C")
+def test_clipping_hypothesis_budget_raises():
+    text = "A <= exists p . B\nexists inv(p) . D <= C\nexists inv(p) . E <= C"
+    g, (idx,) = clip_graph(text)
     q = parse_query("q(x) :- p(x,y), C(y)")
-    monkeypatch.setattr(rewriter, "MAX_HYPOTHESES_PER_CLIP", 2)
-    assert len(clipping(q, idx, "y", g)) == 2
-    monkeypatch.setattr(rewriter, "MAX_HYPOTHESES_PER_CLIP", 1)
+    results = clipping(q, idx, "y", g)
+    assert {query_to_str(c) for c in results} == {"q(x) :- A(x), D(x)", "q(x) :- A(x), E(x)"}
+    capped = build_dependency_graph(parse_tbox(text), witness_cap=1)
     with pytest.raises(BudgetExceededError):
-        clipping(q, idx, "y", g)
+        clipping(q, idx, "y", capped)
+    with pytest.raises(BudgetExceededError):
+        rewrite_ncq(q, parse_tbox(text), budget=RewriteBudget(witness_cap=1))
+
+
+def test_a_witness_reading_many_parent_labels_clips_on_the_one_that_matters():
+    # Eleven labels the witness may read from its parent: only F3 gives it
+    # C3, and nothing the parent reads back depends on them.
+    text = "A <= exists r . B\nexists r . B <= G\n" + "".join(
+        f"exists inv(r) . F{k} <= C{k}\n" for k in range(11))
+    t = parse_tbox(text)
+    g, (idx,) = clip_graph(text)
+    assert g.witness_labels(idx) == {"B", TOP}
+    assert g.derived_conj_edges == ()
+    q = parse_query("q(x) :- r(x,y), C3(y)")
+    assert {query_to_str(c) for c in clipping(q, idx, "y", g)} == {"q(x) :- A(x), F3(x)"}
+    graph = make_graph({"a": ["A"], "b": ["A", "F3"], "c": ["F3"]})
+    for text_q, expected in (("q(x) :- G(x)", {("a",), ("b",)}),
+                             ("q(x) :- r(x,y), C3(y)", {("b",)})):
+        q = parse_query(text_q)
+        assert certain_answers(q, graph, t, depth=3) == expected
+        assert eval_query(rewrite_ncq(q, t).to_uc2rpq(), graph) == expected
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -353,6 +373,70 @@ def test_parent_and_witness_labels_close_to_a_fixpoint():
     assert "q(x) :- A0(x), A3(x)" in branches(out)
     assert certain_answers(q, graph, t, depth=3) == {("n0",)}
     assert eval_query(out.to_uc2rpq(), graph) == {("n0",)}
+
+
+# Conjunctions entailed through a witness that reads its parent, which no
+# axiom states: the four minimized reproducers of ROADMAP D16 and one where
+# a holder of an axiom's left-hand side other than the left-hand side
+# itself reads the witness.  Each is (TBox, query, node labels, self-loop).
+DERIVED_CONJUNCTIONS = [
+    ("A3 <= A6\nA5 <= A2\nexists r1 . A5 <= A3\nexists inv(r1) . A14 <= A5\n"
+     "A2 <= exists r1 . A9", "q(x) :- A6(x)", ["A14", "A5"], None),
+    ("A3 <= A15\nexists inv(r2) . A9 <= A3\nA13 <= exists r2 . A1\nA5 <= A13\n"
+     "exists r2 . A15 <= A6\nA7 <= A9", "q(x) :- A6(x)", ["A5", "A7"], None),
+    ("A7 <= A6\nA7 <= A9\nexists inv(r1) . A9 <= A10\nA10 <= A11\n"
+     "A4 <= exists inv(r1) . A2\nA11 <= A7\nexists r1 . A5 <= A10",
+     "q(x) :- A6(x)", ["A4", "A5"], None),
+    ("A0 <= A3\nA11 & A9 <= A0\nr2 <= r0\nexists inv(r0) . A1 <= A8\n"
+     "A3 <= exists inv(r2) . A8\nA11 <= A6\nexists r2 . A6 <= A1",
+     "q(x) :- A6(x), r1(x,y), A8(y)", ["A11", "A9"], "r1"),
+    ("X <= A4\nX <= A5\nA4 <= exists r . B\nexists inv(r) . A5 <= C\n"
+     "exists r . C <= D", "q(x) :- D(x)", ["X"], None),
+]
+
+
+@pytest.mark.parametrize("tbox, query, labels, loop", DERIVED_CONJUNCTIONS,
+                         ids=["d16-1", "d16-2", "d16-3", "d16-4", "holder"])
+def test_conjunctions_derived_through_a_witness_are_rewritten(tbox, query, labels, loop):
+    t = parse_tbox(tbox)
+    validate_fragment(t)
+    q = parse_query(query)
+    graph = make_graph({"n": labels}, [("n", loop, "n")] if loop else [])
+    expected = certain_answers(q, graph, t, depth=4)
+    assert expected == {("n",)}
+    assert eval_query(rewrite_ncq(q, t).to_uc2rpq(), graph) == expected
+
+
+def test_a_derived_conjunction_is_a_node_test_along_a_path():
+    # A3 holds at n only through {A2, A14}; Z needs A6 one s-edge away.
+    t = parse_tbox(DERIVED_CONJUNCTIONS[0][0] + "\nexists s . A6 <= Z")
+    q = parse_query("q(x) :- Z(x)")
+    graph = make_graph({"m": [], "n": ["A14", "A5"]}, [("m", "s", "n")])
+    expected = certain_answers(q, graph, t, depth=4)
+    assert expected == {("m",)}
+    assert eval_query(rewrite_ncq(q, t).to_uc2rpq(), graph) == expected
+
+
+def test_ontology_scale_rewritings_answer_like_the_chase():
+    """`q(x) :- A0(x)` over `ontology_tbox(n, seed)`, each on four random
+    graphs, against the depth-3 chase: no refusal, no missing and no extra
+    answer.  Before conjunctions were derived through witnesses, (8, 65),
+    (12, 18), (12, 31) and (24, 92) each missed an answer."""
+    q = parse_query("q(x) :- A0(x)")
+    wrong = []
+    for n in (8, 12, 16, 20, 24):
+        roles = tuple(f"r{i}" for i in range(max(2, n // 4)))
+        labels = tuple(f"A{i}" for i in range(n))
+        for seed in range(100):
+            t = parse_tbox(ontology_tbox(n, seed))
+            u = rewrite_ncq(q, t).to_uc2rpq()
+            rng = random.Random(seed)
+            for _ in range(4):
+                graph = random_graph(rng, max_nodes=5, roles=roles, labels=labels,
+                                     edge_prob=0.15)
+                if eval_query(u, graph) != certain_answers(q, graph, t, depth=3):
+                    wrong.append((n, seed))
+    assert wrong == []
 
 
 def test_iterated_clipping_through_two_levels():
