@@ -57,6 +57,7 @@ from .query import (
     UnionPath,
     atom_to_str,
     concat_path,
+    fresh_names,
     path_to_str,
     role_atom_to_str,
 )
@@ -237,17 +238,6 @@ class _Alternative:
             self.units, self.rels, self.error = (), 0, exc
 
 
-def _fresh_names(prefix, taken, n) -> list:
-    """The first n of prefix0, prefix1, ... that are not taken."""
-    names = []
-    i = 0
-    while len(names) < n:
-        if (name := f"{prefix}{i}") not in taken:
-            names.append(name)
-        i += 1
-    return names
-
-
 class _Shared:
     """What one emission prepares once for all of its branches: rendered
     names, label conditions, and role atoms' alternatives by sort key, so
@@ -292,7 +282,7 @@ class _Branch:
     of joined pairs."""
 
     __slots__ = ("answer_vars", "shared", "idents", "labels", "concepts", "roles", "tests",
-                 "arm_count", "query_vars", "edge_vars", "views", "mids", "rel_vars")
+                 "role_arms", "arm_count", "query_vars", "edge_vars", "views", "mids", "rel_vars")
 
     def __init__(self, q: C2RPQ, shared: _Shared):
         self.answer_vars = q.answer_vars
@@ -300,13 +290,11 @@ class _Branch:
         self.idents, self.labels = shared.idents, shared.labels
         concepts, roles, tests, edge_vars = [], [], [], []
         query_vars = set()
-        arm_count = 1
         for atom in q.atoms:
             if isinstance(atom, RoleAtom):
                 roles.append(atom)
                 query_vars.add(atom.src)
                 query_vars.add(atom.dst)
-                arm_count *= _arm_count(atom.path)
             elif isinstance(atom, ConceptAtom):
                 concepts.append(atom)
                 query_vars.add(atom.var)
@@ -319,7 +307,8 @@ class _Branch:
             if len(atoms) > 1:
                 atoms.sort(key=atom_to_str)
         self.concepts, self.roles, self.tests = concepts, roles, tests
-        self.arm_count = arm_count
+        self.role_arms = [_arm_count(atom.path) for atom in roles]
+        self.arm_count = math.prod(self.role_arms)
         self.query_vars = query_vars
         self.edge_vars = edge_vars
         self.views = {}
@@ -337,8 +326,8 @@ class _Branch:
         else:
             shared = self.shared
             choices = []
-            for atom in self.roles:
-                if _arm_count(atom.path) == 1:
+            for atom, count in zip(self.roles, self.role_arms):
+                if count == 1:
                     alts = [shared.alternative(atom_to_str(atom), atom.path, atom.src, atom.dst)]
                 else:
                     alts = [shared.alternative(role_atom_to_str(p, atom.src, atom.dst),
@@ -347,8 +336,8 @@ class _Branch:
                 choices.append(alts)
                 rels += max([alt.rels for alt in alts])
             arms = (sorted(set(combo), key=_KEY) for combo in itertools.product(*choices))
-        self.mids = _fresh_names("m", self.query_vars, rels)
-        self.rel_vars = (_fresh_names("e", self.query_vars, min(rels, len(self.edge_vars)))
+        self.mids = fresh_names("m", self.query_vars, rels)
+        self.rel_vars = (fresh_names("e", self.query_vars, min(rels, len(self.edge_vars)))
                          if self.edge_vars else [])
         return arms
 

@@ -8,7 +8,7 @@ Three queries are answered here:
 
 * ``witness``: which label sets jointly entail a concept (backward chaining
   over the told and derived conjunction hyperedges of the concept and of
-  its subsumees);
+  its subsumees), at most the graph's `witness_cap` of them;
 * ``rewr_concept``: a regular path expression matching exactly the
   data-level derivations of a concept, obtained by reading the graph as a
   finite automaton and eliminating states.  Each step eliminates the state
@@ -34,6 +34,10 @@ witness, the conjunction `lhs & H <= G`.  Derived conjunctions join the
 told ones in the automaton, so one concept path covers every entailed
 subsumee, and in witness sets.  Every rule is valid in every model, so
 everything stays sound.
+
+The graph's `witness_cap` is the one bound on label sets: the parent sets
+of one ask, which the derived conjunctions are built on, and the witness
+sets of one name; past it, an ask raises BudgetExceededError.
 """
 from __future__ import annotations
 
@@ -142,10 +146,13 @@ class DependencyGraph:
     sets) is derived on first ask and kept.  Every memo table only ever
     gains complete entries that are deterministic functions of the
     immutable inputs, so sharing one graph across threads is safe.
-    `witness_cap` bounds the minimal label sets derived for one ask.
+    `witness_cap`, their only bound, caps the minimal label sets derived
+    for one ask, parent sets and witness sets alike.
     """
 
     def __init__(self, t: TBox, witness_cap: int = DEFAULT_WITNESS_CAP):
+        if witness_cap < 1:  # {name} alone is one witness set
+            raise ValueError(f"witness_cap must be at least 1, got {witness_cap}")
         t = normalize(t)
         self.tbox = t
         self.witness_cap = witness_cap
@@ -334,9 +341,6 @@ class DependencyGraph:
                 hit = tuple(sorted((frozenset((lhs, *h)) for h in found),
                                    key=lambda m: (len(m), sorted(m))))
             self._parent_sets[key] = hit
-        if len(hit) > self.witness_cap:
-            raise BudgetExceededError(
-                f"parent label sets of axiom {axiom_index} exceed {self.witness_cap}")
         return hit
 
     @_cached
@@ -357,22 +361,47 @@ class DependencyGraph:
         return tuple(sorted(derived, key=lambda e: (e[0], sorted(e[1]))))
 
     @_cached
+    def all_conj_edges(self) -> tuple:
+        """The told conjunction edges, then the derived ones."""
+        return self.conj_edges + self.derived_conj_edges
+
+    @_cached
     def _rules_by_subsumer(self) -> dict:
         """Conjunction edge bodies by each non-top subsumer of their head."""
         rules = {}
-        for rhs, parts in self.conj_edges + self.derived_conj_edges:
+        for rhs, parts in self.all_conj_edges:
             for sup in self.subsumers(rhs) - {TOP}:  # TOP needs no witnessing
                 rules.setdefault(sup, []).append(parts)
         return rules
 
-    def minimal_sets(self, name: str, cap: int = DEFAULT_WITNESS_CAP) -> frozenset:
-        """The ⊆-minimal label sets that entail `name` through conjunction
-        edges: {name}, and for each edge whose right-hand side entails
-        `name`, a union of one set of each of its members.  The sets of the
-        names they are made of grow together, round by round, to their
-        least fixpoint; past `cap` sets for one name, this raises."""
+    def witness_sets(self, name: str) -> tuple:
+        """All label sets that jointly entail `name` through conjunctions.
+
+        The candidates are the ⊆-minimal label sets that entail `name`
+        through the told and derived conjunction edges: {name}, and for
+        each edge whose right-hand side entails `name`, a union of one set
+        of each of its members.  The sets of the names they are made of
+        grow together, round by round, to their least fixpoint; past the
+        graph's `witness_cap` sets for one name, this raises.
+
+        Entailed subsumees get no sets of their own: the concept path of
+        each member already matches them through its epsilon transitions.
+        A set other than {name} is dropped when its members entail every
+        member of another set, since its branch is then contained in the
+        other's (of two sets that entail each other, the smaller is kept).
+        The result always contains {name}.  Only results are kept, so
+        every ask past the cap raises.
+        """
+        known = self._witness_sets.get(name)
+        if known is not None:
+            return known
         rules = self._rules_by_subsumer
-        sets = {name: frozenset({frozenset({name})})}
+        start = frozenset({name})
+        if name not in rules:  # no conjunction entails the name
+            known = self._witness_sets[name] = (start,)
+            return known
+        cap = self.witness_cap
+        sets = {name: frozenset({start})}
         changed = True
         while changed:
             changed = False
@@ -390,7 +419,21 @@ class DependencyGraph:
                     raise BudgetExceededError(f"witness sets for {name!r} exceed {cap}")
                 if grown != sets[x]:
                     sets[x], changed = grown, True
-        return sets[name]
+
+        def covers(s, other):
+            return all(any(self.entails_subsumption(m, o) for m in s) for o in other)
+
+        def key(s):
+            return (len(s), sorted(s))
+
+        candidates = sets[name]
+        result = self._witness_sets[name] = tuple(sorted((
+            s for s in candidates
+            if s == start or not any(
+                other != s and covers(s, other)
+                and not (covers(other, s) and key(s) < key(other))
+                for other in candidates)), key=key))
+        return result
 
     # -- automaton ------------------------------------------------------------
 
@@ -398,7 +441,7 @@ class DependencyGraph:
         """Zero-length path expressions that certify `name` at a node."""
         labels = {y for y in self.nodes if name in self._subsumers[y]}
         branches = [NodeTest(frozenset(labels))] if labels else []
-        for rhs, parts in self.conj_edges + self.derived_conj_edges:
+        for rhs, parts in self.all_conj_edges:
             if rhs != name or parts & seen:
                 continue
             guarded = seen | parts | {name}
@@ -415,7 +458,7 @@ class DependencyGraph:
                  for dst in self.nodes if dst != src and src in self._subsumers[dst]]
         trans += [(rhs, _r(False, EdgeStep(role)), filler)
                   for rhs, role, filler in self.role_edges if rhs != TOP]
-        for rhs, parts in self.conj_edges + self.derived_conj_edges:
+        for rhs, parts in self.all_conj_edges:
             for target in sorted(parts) if rhs != TOP else ():
                 prefix = concat_path(
                     [self._label_tests(p, parts) for p in sorted(parts) if p != target])
@@ -623,42 +666,9 @@ def build_dependency_graph(t: TBox, witness_cap: int = DEFAULT_WITNESS_CAP) -> D
     return DependencyGraph(t, witness_cap)
 
 
-def witness(name: str, g: DependencyGraph, cap: int = DEFAULT_WITNESS_CAP):
-    """All label sets that jointly entail `name` through conjunctions.
-
-    The candidates are the ⊆-minimal sets of `DependencyGraph.minimal_sets`,
-    built over the told conjunctions and those derived through witnesses.
-    Entailed subsumees get no sets of their own: the concept path of each
-    member already matches them through its epsilon transitions.  A set
-    other than {name} is dropped when its members entail every member of
-    another set, since its branch is then contained in the other's (of two
-    sets that entail each other, the smaller is kept).  The result always
-    contains {name}.  Raises BudgetExceededError past `cap` sets for one
-    name; only results are kept on the graph, so every call over the cap
-    raises.
-    """
-    known = g._witness_sets.get((name, cap))
-    if known is not None:
-        return known
-    if name not in g._rules_by_subsumer:  # no conjunction entails the name
-        known = g._witness_sets[(name, cap)] = (frozenset({name}),)
-        return known
-    sets = g.minimal_sets(name, cap)
-    start = frozenset({name})
-
-    def covers(s, other):
-        return all(any(g.entails_subsumption(m, o) for m in s) for o in other)
-
-    def key(s):
-        return (len(s), sorted(s))
-
-    result = g._witness_sets[(name, cap)] = tuple(sorted((
-        s for s in sets
-        if s == start or not any(
-            other != s and covers(s, other)
-            and not (covers(other, s) and key(s) < key(other))
-            for other in sets)), key=key))
-    return result
+def witness(name: str, g: DependencyGraph):
+    """All label sets that jointly entail `name`: `DependencyGraph.witness_sets`."""
+    return g.witness_sets(name)
 
 
 def rewr_concept(name: str, g: DependencyGraph) -> PathExpr:

@@ -26,6 +26,12 @@ processes.  `EdgeStep` and `NodeTest` are cheap to hash and render, and
 keep nothing.  Atoms and `C2RPQ`s keep their text (`atom_to_str`,
 `query_to_str`, the keys the rewriter and the emitter sort by) the same
 way; a text does not depend on the hash seed, so a copy may carry it.
+
+Queries are read with the lexer and cursor of `tbox` (`tokenize`,
+`Cursor`), whole before parsing; running out of tokens raises
+`unexpected end of query`, without a position.  `fresh_names` gives
+the unused variable names that the rewriter and the Cypher emitter
+introduce.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import QuerySyntaxError
-from .tbox import TOP, Role
+from .tbox import TOP, Cursor, Role, tokenize
 
 COMPARISON_OPS = ("<=", ">=", "!=", "=", "<", ">")
 
@@ -339,6 +345,17 @@ def canon_query(q: C2RPQ) -> C2RPQ:
     return C2RPQ(q.answer_vars, frozenset(atoms))
 
 
+def fresh_names(prefix, taken, n) -> list:
+    """The first n of prefix0, prefix1, ... that are not taken."""
+    names = []
+    i = 0
+    while len(names) < n:
+        if (name := f"{prefix}{i}") not in taken:
+            names.append(name)
+        i += 1
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -468,71 +485,27 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _QTok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_query(text: str):
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise QuerySyntaxError(
-                    f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = m.lastgroup
-            if kind not in ("WS", "COMMENT"):
-                tokens.append(_QTok(kind, m.group(0), lineno, pos + 1))
-            pos = m.end()
-    return tokens
-
-
-class _QueryParser:
+class _QueryParser(Cursor):
     """Recursive-descent parser with savepoints for atom disambiguation."""
 
+    error = QuerySyntaxError
+    end_message = "unexpected end of query"
+
     def __init__(self, tokens, extended=False):
-        self.tokens = tokens
+        super().__init__(tokens)
         self.extended = extended
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of query")
-        self.pos += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.next()
-        if tok.text != text:
-            raise QuerySyntaxError(
-                f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
-
-    def at(self, text):
-        tok = self.peek()
-        return tok is not None and tok.text == text
 
     def parse_query(self) -> C2RPQ:
         head = self.next()
         if head.kind != "NAME":
-            raise QuerySyntaxError("query must start with a head predicate",
-                                   head.line, head.col)
+            self.fail("query must start with a head predicate", head)
         self.expect("(")
         answer_vars = []
         if not self.at(")"):
-            answer_vars.append(self._var())
+            answer_vars.append(self._name("a variable"))
             while self.at(","):
                 self.next()
-                answer_vars.append(self._var())
+                answer_vars.append(self._name("a variable"))
         self.expect(")")
         self.expect(":-")
         atoms = [self.parse_atom()]
@@ -541,22 +514,22 @@ class _QueryParser:
             atoms.append(self.parse_atom())
         tok = self.peek()
         if tok is not None:
-            raise QuerySyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            self.fail(f"trailing input {tok.text!r}", tok)
         return C2RPQ(tuple(answer_vars), frozenset(atoms))
 
-    def _var(self) -> str:
+    def _name(self, what: str) -> str:
+        """A NAME token's text; `what` says what the grammar expects."""
         tok = self.next()
         if tok.kind != "NAME":
-            raise QuerySyntaxError(f"expected a variable, found {tok.text!r}",
-                                   tok.line, tok.col)
+            self.fail(f"expected {what}, found {tok.text!r}", tok)
         return tok.text
 
     def _args(self) -> tuple:
         self.expect("(")
-        out = [self._var()]
+        out = [self._name("a variable")]
         if self.at(","):
             self.next()
-            out.append(self._var())
+            out.append(self._name("a variable"))
         self.expect(")")
         return tuple(out)
 
@@ -588,22 +561,17 @@ class _QueryParser:
             self.next()
             return TestNot(self._test_term())
         if self.at("("):
-            saved = self.pos
+            # A failure propagates to `parse_atom`, which restores the position.
             self.next()
-            try:
-                inner = self._test_expr()
-                self.expect(")")
-                return inner
-            except QuerySyntaxError:
-                self.pos = saved
-                raise
+            inner = self._test_expr()
+            self.expect(")")
+            return inner
         key = self.next()
         if key.kind != "NAME":
-            raise QuerySyntaxError("expected a property key", key.line, key.col)
+            self.fail("expected a property key", key)
         op = self.next()
         if op.text not in COMPARISON_OPS:
-            raise QuerySyntaxError(f"expected a comparison operator, found {op.text!r}",
-                                   op.line, op.col)
+            self.fail(f"expected a comparison operator, found {op.text!r}", op)
         value = self._literal()
         try:
             return DataTest(key.text, op.text, value)
@@ -617,8 +585,7 @@ class _QueryParser:
         if tok.kind == "STRING":
             body = tok.text[1:-1]
             return body.replace('\\"', '"').replace("\\\\", "\\")
-        raise QuerySyntaxError(f"expected a literal, found {tok.text!r}",
-                               tok.line, tok.col)
+        self.fail(f"expected a literal, found {tok.text!r}", tok)
 
     # -- paths ----------------------------------------------------------------
 
@@ -627,15 +594,12 @@ class _QueryParser:
         vars_ = self._args()
         if len(vars_) == 1:
             if not isinstance(path, NodeTest):
-                tok = self.peek()
-                raise QuerySyntaxError(
-                    "a unary atom must be a concept label or union of labels",
-                    tok.line if tok else None, tok.col if tok else None)
+                self.fail("a unary atom must be a concept label or union of labels",
+                          self.peek())
             return ConceptAtom(path.labels, vars_[0])
         if not self.extended and not isinstance(path, EdgeStep):
-            raise QuerySyntaxError(
-                "input queries only admit plain role atoms; "
-                "navigational paths need the extended grammar")
+            self.fail("input queries only admit plain role atoms; "
+                      "navigational paths need the extended grammar")
         return RoleAtom(path, vars_[0], vars_[1])
 
     def _path_union(self) -> PathExpr:
@@ -666,34 +630,25 @@ class _QueryParser:
             self.expect(")")
             return inner
         if tok.text == "<":
-            labels = [self._label()]
+            labels = [self._name("a label")]
             while self.at("|"):
                 self.next()
-                labels.append(self._label())
+                labels.append(self._name("a label"))
             self.expect(">")
             return NodeTest(frozenset(labels))
         if tok.kind != "NAME":
-            raise QuerySyntaxError(f"expected a path, found {tok.text!r}",
-                                   tok.line, tok.col)
+            self.fail(f"expected a path, found {tok.text!r}", tok)
         if tok.text == "inv":
             self.expect("(")
             name = self.next()
             if name.kind != "NAME":
-                raise QuerySyntaxError("expected a role name inside inv(...)",
-                                       name.line, name.col)
+                self.fail("expected a role name inside inv(...)", name)
             self.expect(")")
             return EdgeStep(Role(name.text, inverted=True))
         if tok.text == TOP or tok.text[0].isupper() or tok.text.startswith("_"):
             # Underscore-initial names are normalization-fresh concept names.
             return NodeTest(frozenset({tok.text}))
         return EdgeStep(Role(tok.text))
-
-    def _label(self) -> str:
-        tok = self.next()
-        if tok.kind != "NAME":
-            raise QuerySyntaxError(f"expected a label, found {tok.text!r}",
-                                   tok.line, tok.col)
-        return tok.text
 
 
 def _validate_query(q: C2RPQ, connected: bool) -> C2RPQ:
@@ -731,7 +686,8 @@ def _validate_query(q: C2RPQ, connected: bool) -> C2RPQ:
 
 def parse_query(text: str, extended: bool = False) -> C2RPQ:
     """Parse a single query; `extended` admits navigational path atoms."""
-    parser = _QueryParser(_tokenize_query(text), extended=extended)
+    tokens = [tok for line in tokenize(text, _TOKEN_RE, QuerySyntaxError) for tok in line]
+    parser = _QueryParser(tokens, extended=extended)
     q = parser.parse_query()
     return _validate_query(q, connected=not extended)
 

@@ -59,6 +59,7 @@ from .query import (
     add_subseteq,
     atom_vars,
     canon_query,
+    fresh_names,
     query_to_str,
     substitute_role,
     union_path,
@@ -99,15 +100,6 @@ class RewritingSet:
 
     def __iter__(self):
         return iter(sorted(self.queries, key=query_to_str))
-
-
-def _fresh_vars(taken, prefix):
-    index = 0
-    while True:
-        name = f"{prefix}{index}"
-        index += 1
-        if name not in taken:
-            yield name
 
 
 def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
@@ -162,7 +154,7 @@ def clipping(q: C2RPQ, axiom_index: int, y: str, g: DependencyGraph) -> tuple:
         z = (preferred or sorted(attachments))[0]
         rename = {v: z for v in attachments if v != z}
     else:
-        z = next(_fresh_vars(q.variables(), "__c"))
+        z = fresh_names("__c", q.variables(), 1)[0]
     answer_vars = tuple(rename.get(v, v) for v in q.answer_vars)
     kept = [_rename_atom(atom, rename) for atom in kept]
     results = []
@@ -280,14 +272,13 @@ def _saturate_clipping(q0: C2RPQ, g: DependencyGraph, budget: RewriteBudget) -> 
     return sorted(seen, key=query_to_str)
 
 
-def _atom_alternatives(atom: ConceptAtom, g: DependencyGraph,
-                       budget: RewriteBudget) -> list:
+def _atom_alternatives(atom: ConceptAtom, g: DependencyGraph) -> list:
     """Conjunctions of concept paths, one of which replaces the atom."""
     labels = sorted(atom.labels)
     paths = [rewr_concept(label, g) for label in labels]
     alternatives = [(paths[0] if len(paths) == 1 else union_path(paths),)]
     for label in labels:
-        for witness_set in witness(label, g, cap=budget.witness_cap):
+        for witness_set in witness(label, g):
             if witness_set != {label}:
                 alternatives.append(
                     tuple(rewr_concept(name, g) for name in sorted(witness_set)))
@@ -300,14 +291,15 @@ def _concept_rewritings(queries, g: DependencyGraph, budget: RewriteBudget) -> l
         concept_atoms = sorted((a for a in q1.atoms if isinstance(a, ConceptAtom)),
                                key=atom_sort_key)
         fixed = q1.atoms - set(concept_atoms)
-        per_atom = [_atom_alternatives(atom, g, budget) for atom in concept_atoms]
+        per_atom = [_atom_alternatives(atom, g) for atom in concept_atoms]
         if len(staged) + math.prod(map(len, per_atom)) > budget.max_queries:
             raise BudgetExceededError(
                 f"more than {budget.max_queries} queries generated")
-        taken = q1.variables()
+        # Enough fresh endpoints for any combination, which takes one per path at most.
+        names = fresh_names("__w", q1.variables(), sum(max(map(len, alts)) for alts in per_atom))
         for combo in itertools.product(*per_atom):
             atoms = set(fixed)
-            fresh = _fresh_vars(taken, "__w")
+            fresh = iter(names)
             for atom, paths in zip(concept_atoms, combo):
                 for path in paths:
                     if not isinstance(path, NodeTest):

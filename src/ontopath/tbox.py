@@ -6,6 +6,11 @@ and conjunction, plus role inclusions.  Concept names start with an
 uppercase letter, role names with a lowercase letter; ``top`` is the
 reserved name of the universal concept.  Negation is not part of the
 fragment and is rejected with a dedicated diagnostic.
+
+The lexer and cursor here (`Token`, `tokenize`, `Cursor`) serve both
+input languages: ``#`` comments run to the end of the line, and a syntax
+error reports a 1-based line and column.  A TBox is tokenized and parsed
+one line at a time, so its earliest bad line's error is reported.
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ FRESH_PREFIX = "__nf"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"top", "exists", "inv"}
-_NEGATION_WORDS = {"not", "neg"}
 
 
 @dataclass(frozen=True)
@@ -185,72 +189,91 @@ class TBox:
 # Parsing
 
 
+# A TBox line's tokens; `!`, `~`, `¬`, `not` and `neg` are negation (NEG).
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<COMMENT>\#.*)
+  | (?P<NEG>[!~¬]|(?:not|neg)(?![A-Za-z0-9_]))
+  | (?P<OP><=|[&().])
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
 @dataclass(frozen=True)
-class _Tok:
-    kind: str  # NAME, OP, NEG
+class Token:
+    kind: str  # a group name of the tokenizing pattern
     text: str
+    line: int
     col: int
 
 
-def _tokenize_line(line: str, lineno: int):
-    tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c == "#":
-            break
-        if c.isspace():
-            i += 1
-            continue
-        if c in "!~¬":
-            tokens.append(_Tok("NEG", c, i + 1))
-            i += 1
-            continue
-        if line.startswith("<=", i):
-            tokens.append(_Tok("OP", "<=", i + 1))
-            i += 2
-            continue
-        if c in "&().":
-            tokens.append(_Tok("OP", c, i + 1))
-            i += 1
-            continue
-        m = _IDENT_RE.match(line, i)
-        if m:
-            word = m.group(0)
-            kind = "NEG" if word in _NEGATION_WORDS else "NAME"
-            tokens.append(_Tok(kind, word, i + 1))
-            i = m.end()
-            continue
-        raise TBoxSyntaxError(f"unexpected character {c!r}", lineno, i + 1)
-    return tokens
+def tokenize(text: str, pattern, error):
+    """The tokens of each line of `text`, one list per line, made lazily.
+
+    `pattern` is an alternation of named groups, each naming a token kind;
+    ``WS`` and ``COMMENT`` matches are dropped.  A character no group
+    matches raises `error` at its 1-based line and column.  Parsing each
+    line before asking for the next reports an earlier line's error first.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = []
+        pos = 0
+        while pos < len(line):
+            m = pattern.match(line, pos)
+            if m is None:
+                raise error(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            kind = m.lastgroup
+            if kind not in ("WS", "COMMENT"):
+                tokens.append(Token(kind, m.group(0), lineno, pos + 1))
+            pos = m.end()
+        yield tokens
 
 
-class _LineParser:
-    def __init__(self, tokens, lineno):
+class Cursor:
+    """A recursive-descent parser's position in a token list.  Subclasses
+    set `error`, the exception class they raise, and `end_message`, what
+    running out of tokens says, at `line` (None: no position)."""
+
+    def __init__(self, tokens, line=None):
         self.tokens = tokens
-        self.lineno = lineno
+        self.line = line
         self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def at(self, text):
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise TBoxSyntaxError("unexpected end of axiom", self.lineno)
+            raise self.error(self.end_message, self.line)
         self.pos += 1
         return tok
 
     def expect(self, text):
         tok = self.next()
         if tok.text != text:
-            raise TBoxSyntaxError(f"expected {text!r}, found {tok.text!r}", self.lineno, tok.col)
+            self.fail(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
-    def error(self, message, tok=None):
-        col = tok.col if tok is not None else None
-        raise TBoxSyntaxError(message, self.lineno, col)
+    def fail(self, message, tok=None):
+        """Raise `error` at the token's position, or at `line` without one."""
+        if tok is None:
+            raise self.error(message, self.line)
+        raise self.error(message, tok.line, tok.col)
+
+
+class _LineParser(Cursor):
+    """The parser of one axiom, over the tokens of its line."""
+
+    error = TBoxSyntaxError
+    end_message = "unexpected end of axiom"
 
     # role := NAME | inv ( NAME )
     def parse_role(self) -> Role:
@@ -259,25 +282,25 @@ class _LineParser:
             raise FragmentViolation(
                 "negation is not part of the input fragment", construct="negation")
         if tok.kind != "NAME":
-            self.error(f"expected a role, found {tok.text!r}", tok)
+            self.fail(f"expected a role, found {tok.text!r}", tok)
         if tok.text == "inv":
             self.expect("(")
             inner = self.next()
             if inner.kind != "NAME" or inner.text in _KEYWORDS:
-                self.error("expected a role name inside inv(...)", inner)
-            _check_role_name(inner.text, self.lineno, inner.col)
+                self.fail("expected a role name inside inv(...)", inner)
+            self.check_name(inner, concept=False)
             self.expect(")")
             return Role(inner.text, inverted=True)
         if tok.text in _KEYWORDS:
-            self.error(f"{tok.text!r} is not a valid role name", tok)
-        _check_role_name(tok.text, self.lineno, tok.col)
+            self.fail(f"{tok.text!r} is not a valid role name", tok)
+        self.check_name(tok, concept=False)
         return Role(tok.text)
 
     # cexpr := andexpr; andexpr := primary (& primary)*
     # primary := top | NAME | exists role . primary | ( cexpr )
     def parse_concept(self) -> ConceptExpr:
         parts = [self.parse_primary()]
-        while self.peek() is not None and self.peek().text == "&":
+        while self.at("&"):
             self.next()
             parts.append(self.parse_primary())
         return conj(parts) if len(parts) > 1 else parts[0]
@@ -292,33 +315,27 @@ class _LineParser:
             self.expect(")")
             return inner
         if tok.kind != "NAME":
-            self.error(f"expected a concept, found {tok.text!r}", tok)
+            self.fail(f"expected a concept, found {tok.text!r}", tok)
         if tok.text == TOP:
             return Top()
         if tok.text == "exists":
             role = self.parse_role()
             self.expect(".")
             return Exists(role, self.parse_primary())
-        _check_concept_name(tok.text, self.lineno, tok.col)
+        self.check_name(tok, concept=True)
         return Name(tok.text)
 
-
-def _check_concept_name(name, lineno=None, col=None):
-    if name.startswith(FRESH_PREFIX):
-        raise TBoxSyntaxError(
-            f"identifier {name!r} uses the reserved prefix {FRESH_PREFIX!r}", lineno, col)
-    if name in _KEYWORDS or not name[0].isupper():
-        raise TBoxSyntaxError(
-            f"concept names start with an uppercase letter, got {name!r}", lineno, col)
-
-
-def _check_role_name(name, lineno=None, col=None):
-    if name.startswith(FRESH_PREFIX):
-        raise TBoxSyntaxError(
-            f"identifier {name!r} uses the reserved prefix {FRESH_PREFIX!r}", lineno, col)
-    if not name[0].islower() or name in _KEYWORDS:
-        raise TBoxSyntaxError(
-            f"role names start with a lowercase letter, got {name!r}", lineno, col)
+    def check_name(self, tok, concept: bool):
+        """Reject a name with the reserved prefix or the wrong case for a
+        concept (`concept`) or a role; a keyword is rejected as a role name
+        before this is asked, and as a concept name by its case."""
+        name = tok.text
+        if name.startswith(FRESH_PREFIX):
+            self.fail(f"identifier {name!r} uses the reserved prefix {FRESH_PREFIX!r}", tok)
+        if concept and not name[0].isupper():
+            self.fail(f"concept names start with an uppercase letter, got {name!r}", tok)
+        if not concept and not name[0].islower():
+            self.fail(f"role names start with a lowercase letter, got {name!r}", tok)
 
 
 def _try_role_inclusion(parser: _LineParser):
@@ -329,7 +346,7 @@ def _try_role_inclusion(parser: _LineParser):
         parser.expect("<=")
         sup = parser.parse_role()
         if parser.peek() is not None:
-            raise TBoxSyntaxError("trailing input", parser.lineno)
+            parser.fail("trailing input")
         return RoleInclusion(sub, sup)
     except TBoxSyntaxError:
         parser.pos = saved
@@ -339,11 +356,10 @@ def _try_role_inclusion(parser: _LineParser):
 def parse_tbox(text: str) -> TBox:
     """Parse a line-oriented TBox document (one axiom per line, # comments)."""
     axioms = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, lineno)
+    for tokens in tokenize(text, _TOKEN_RE, TBoxSyntaxError):
         if not tokens:
             continue
-        parser = _LineParser(tokens, lineno)
+        parser = _LineParser(tokens, tokens[0].line)
         role_incl = _try_role_inclusion(parser)
         if role_incl is not None:
             axioms.append(role_incl)
@@ -353,7 +369,7 @@ def parse_tbox(text: str) -> TBox:
         rhs = parser.parse_concept()
         trailing = parser.peek()
         if trailing is not None:
-            parser.error(f"trailing input {trailing.text!r}", trailing)
+            parser.fail(f"trailing input {trailing.text!r}", trailing)
         axioms.append(ConceptInclusion(lhs, rhs))
     return TBox(tuple(axioms))
 

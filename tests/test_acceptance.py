@@ -7,6 +7,7 @@ is configured.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import random
 import subprocess
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from corpus import random_instance
+from corpus import ontology_tbox, random_instance
 from oracles import all_one_node_graphs, random_graph, walk_pairs
 
 from ontopath.chase import certain_answers
 from ontopath.cypher import emit_cypher
-from ontopath.errors import UnsupportedPathError
+from ontopath.errors import BudgetExceededError, OntopathError, UnsupportedPathError
 from ontopath.graph import eval_query, load_graph, path_pairs
 from ontopath.query import (
     EdgeStep,
@@ -32,6 +33,7 @@ from ontopath.query import (
     parse_rewriting,
     path_to_str,
     query_to_str,
+    rewriting_to_str,
     star_path,
     union_path,
 )
@@ -289,6 +291,50 @@ def test_sweep_output_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0].count(" :- ") >= 150
     assert outputs[0] == outputs[1]
+
+
+# The "Output digests" of the tier-1 workflow: the sha256 of the sweep's
+# rewriting and Cypher texts, and of the rewriting of q(x) :- A0(x) over
+# the ontology-scale draws.
+OUTPUT_DIGESTS = {
+    "sweep rewriting": "af55a66f703b9e274f534cb003d61af79fc5f5f4e98fa8d16dcee668794e2f94",
+    "sweep Cypher": "95c79f2617a325365f49986a0e5c7ee93741174ec8da341f128fdaa0c82c23d9",
+    "ontology rewriting": "75799b5c29b62a4ffa2f7cd2c49a783d49a9de7fc6cd7a006c4b3c7d8b61a163",
+}
+
+
+def test_output_digests_match_their_pins():
+    """Recomputes the workflow's output digests, so that a refactor cannot
+    move a rewriting or a Cypher text silently.  A change that moves
+    output on purpose re-pins `OUTPUT_DIGESTS` and records the old and the
+    new digests in CHANGES.md.  The texts are built as the workflow builds
+    them: a refused emission is `! Type: message`, a draw past a rewriting
+    budget `! over budget`, and the texts are joined with newlines."""
+    rng = random.Random(SWEEP_SEED)
+    rewritings, cypher = [], []
+    for _ in range(SWEEP_SIZE):
+        t, _g, q = random_instance(rng)
+        u = rewrite_ncq(q, t).to_uc2rpq()
+        rewritings.append(rewriting_to_str(u))
+        try:
+            cypher.append(emit_cypher(u).text)
+        except OntopathError as exc:
+            cypher.append(f"! {type(exc).__name__}: {exc}")
+    q = parse_query("q(x) :- A0(x)")
+    ontology = []
+    for n in (16, 24, 32, 48, 64):
+        for seed in range(10):
+            try:
+                u = rewrite_ncq(q, parse_tbox(ontology_tbox(n, seed))).to_uc2rpq()
+            except BudgetExceededError:
+                ontology.append("! over budget")
+            else:
+                ontology.append(rewriting_to_str(u))
+    texts = {"sweep rewriting": rewritings, "sweep Cypher": cypher,
+             "ontology rewriting": ontology}
+    digests = {name: hashlib.sha256("\n".join(texts[name]).encode()).hexdigest()
+               for name in OUTPUT_DIGESTS}
+    assert digests == OUTPUT_DIGESTS
 
 
 def test_criterion_8_cypher_round_trip_against_live_store():

@@ -35,8 +35,8 @@ from ontopath.tbox import TOP, Role, parse_tbox, validate_fragment
 from oracles import unroll_stars
 
 
-def dep(text):
-    return build_dependency_graph(parse_tbox(text))
+def dep(text, **kwargs):
+    return build_dependency_graph(parse_tbox(text), **kwargs)
 
 
 # -- construction -------------------------------------------------------------
@@ -132,23 +132,40 @@ def test_witness_keeps_start_set():
 
 
 def test_witness_cap_raises():
-    lines = [f"B{i} & C{i} <= A" for i in range(12)]
-    g = dep("\n".join(lines))
-    assert len(witness("A", g, cap=13)) == 13
+    text = "\n".join(f"B{i} & C{i} <= A" for i in range(12))
+    assert len(witness("A", dep(text, witness_cap=13))) == 13
     with pytest.raises(BudgetExceededError):
-        witness("A", g, cap=4)
+        witness("A", dep(text, witness_cap=4))
 
 
 def test_witness_keeps_results_on_the_graph_but_raises_every_time():
-    lines = [f"B{i} & C{i} <= A" for i in range(12)]
-    g = dep("\n".join(lines))
-    sets = witness("A", g, cap=13)
-    assert witness("A", g, cap=13) is sets
-    assert witness("A", dep("\n".join(lines)), cap=13) == sets
+    text = "\n".join(f"B{i} & C{i} <= A" for i in range(12))
+    g = dep(text, witness_cap=13)
+    sets = witness("A", g)
+    assert witness("A", g) is sets
+    assert witness("A", dep(text, witness_cap=13)) == sets
+    capped = dep(text, witness_cap=4)
     for _ in range(2):
         with pytest.raises(BudgetExceededError):
-            witness("A", g, cap=4)
-    assert witness("B0", g) == (frozenset({"B0"}),)
+            witness("A", capped)
+    assert witness("B0", capped) == (frozenset({"B0"}),)
+
+
+def test_a_witness_cap_below_one_is_rejected():
+    # Every name has the witness set {name}, so no cap below 1 can hold.
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="witness_cap must be at least 1"):
+            dep("B & C <= A", witness_cap=cap)
+
+
+def test_the_graph_cap_bounds_witness_sets():
+    """The graph's `witness_cap` is the only bound: 13 witness sets of A
+    pass a graph capped at 4 on no call, not only on the first."""
+    text = "\n".join(f"B{i} & C{i} <= A" for i in range(12))
+    g = build_dependency_graph(parse_tbox(text), witness_cap=4)
+    for _ in range(3):
+        with pytest.raises(BudgetExceededError, match="witness sets for 'A' exceed 4"):
+            witness("A", g)
 
 
 # -- rewr_concept ----------------------------------------------------------------

@@ -103,6 +103,36 @@ def test_ordered_comparison_needs_numeric_literal():
         parse_query('q(x) :- age>"old"(x)')
 
 
+# Each case pins the exception class, its message (position included), the
+# line and the column; `unexpected end of query` carries no position.
+QUERY_SYNTAX_ERRORS = [
+    ("q(x) :- A(x) $", "unexpected character '$' (line 1, column 14)", 1, 14),
+    ("q(x) :- A(x),\n  $", "unexpected character '$' (line 2, column 3)", 2, 3),
+    ("q(x) :- A(x),", "unexpected end of query", None, None),
+    ("q(x) :- A(x", "unexpected end of query", None, None),
+    ("q(x) A(x)", "expected ':-', found 'A' (line 1, column 6)", 1, 6),
+    ("q(x) :- (r(x,y)", "expected ')', found '(' (line 1, column 11)", 1, 11),
+    ("q(x) :- A(x) B(x)", "trailing input 'B' (line 1, column 14)", 1, 14),
+    ("q(x) :- A(x) # c\n  , B(x) :-", "trailing input ':-' (line 2, column 10)", 2, 10),
+    ("q(x) :- inv(3)(x,y)", "expected a role name inside inv(...) (line 1, column 13)", 1, 13),
+    ("q(x) :- inv r(x,y)", "expected '(', found 'r' (line 1, column 13)", 1, 13),
+    ('q(x) :- name="abc(x), A(x)', "unexpected character '\"' (line 1, column 14)", 1, 14),
+    ("3(x) :- A(x)", "query must start with a head predicate (line 1, column 1)", 1, 1),
+    ("q(x) :- <A|>(x)", "expected a label, found '>' (line 1, column 12)", 1, 12),
+    ("q(x) :- r.s(x,y)", "input queries only admit plain role atoms; "
+     "navigational paths need the extended grammar", None, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", QUERY_SYNTAX_ERRORS)
+def test_syntax_error_table(text, message, line, column):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert type(err.value) is QuerySyntaxError
+    assert str(err.value) == message
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_print_parse_round_trip_extended():
     text = "q(x) :- (partOf*.<Region>)(x,__w0)"
     q = parse_query(text, extended=True)

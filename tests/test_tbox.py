@@ -87,6 +87,49 @@ def test_negation_rejected_as_fragment_violation():
             parse_tbox(text)
 
 
+# Each case pins the exception class, its message (position included), the
+# line and the column; a FragmentViolation carries no position.
+TBOX_SYNTAX_ERRORS = [
+    ("A <= B $", TBoxSyntaxError, "unexpected character '$' (line 1, column 8)", 1, 8),
+    ("A <=", TBoxSyntaxError, "unexpected end of axiom (line 1)", 1, None),
+    ("# c\n  A <= B & ", TBoxSyntaxError, "unexpected end of axiom (line 2)", 2, None),
+    ("A <= exists r C", TBoxSyntaxError, "expected '.', found 'C' (line 1, column 15)", 1, 15),
+    ("top(x)", TBoxSyntaxError, "expected '<=', found '(' (line 1, column 4)", 1, 4),
+    ("A <= B )", TBoxSyntaxError, "trailing input ')' (line 1, column 8)", 1, 8),
+    ("__nfX <= B", TBoxSyntaxError,
+     "identifier '__nfX' uses the reserved prefix '__nf' (line 1, column 1)", 1, 1),
+    ("A <= __nf1", TBoxSyntaxError,
+     "identifier '__nf1' uses the reserved prefix '__nf' (line 1, column 6)", 1, 6),
+    ("A <= B\nr <= s t", TBoxSyntaxError,
+     "concept names start with an uppercase letter, got 'r' (line 2, column 1)", 2, 1),
+    ("A <= exists R . B", TBoxSyntaxError,
+     "role names start with a lowercase letter, got 'R' (line 1, column 13)", 1, 13),
+    ("A <= exists top . B", TBoxSyntaxError,
+     "'top' is not a valid role name (line 1, column 13)", 1, 13),
+    ("A <= !B", FragmentViolation, "negation is not part of the input fragment", None, None),
+    ("not A <= B", FragmentViolation, "negation is not part of the input fragment", None, None),
+    ("A <= exists ~r . B", FragmentViolation,
+     "negation is not part of the input fragment", None, None),
+    ("A <= exists inv(top) . B", TBoxSyntaxError,
+     "expected a role name inside inv(...) (line 1, column 17)", 1, 17),
+    ("A <= exists inv r . B", TBoxSyntaxError, "expected '(', found 'r' (line 1, column 17)", 1, 17),
+    ("A <= exists inv(r . B", TBoxSyntaxError, "expected ')', found '.' (line 1, column 19)", 1, 19),
+    # Lines are tokenized one at a time: line 1 ends early before line 2's
+    # bad character is ever read.
+    ("A <=\nB <= C $", TBoxSyntaxError, "unexpected end of axiom (line 1)", 1, None),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, line, column", TBOX_SYNTAX_ERRORS)
+def test_syntax_error_table(text, kind, message, line, column):
+    with pytest.raises(kind) as err:
+        parse_tbox(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+    assert getattr(err.value, "column", None) == column
+
+
 def test_conj_is_commutative_for_equality():
     assert conj([Name("B"), Name("A")]) == conj([Name("A"), Name("B")])
     assert conj([Name("A"), conj([Name("B"), Name("C")])]) == conj(
